@@ -7,7 +7,7 @@ run on a compiled backend when available, with a pure Python fallback
 (BACKEND reports which one is active).
 """
 
-from ._kernel import BACKEND, available_backends
+from ._kernel import BACKEND
 from .bounds import (
     BoundsReport,
     bounds_report,
@@ -42,13 +42,11 @@ from .families import (
     gen_spider,
     gen_star,
 )
-from .graph import Graph, diameter, is_connected, is_tree, max_degree, parse_graph, write_graph
+from .graph import Graph, parse_graph, write_graph
 from .propagation import (
     UNOBSERVED,
     ObservationTrace,
-    domination_step,
     edge_time_label,
-    forcing_step,
     is_pds,
     ppt_of_set,
     propagate,
@@ -85,17 +83,13 @@ __all__ = [
     "TrailCheck",
     "TreeCertificate",
     "UNOBSERVED",
-    "available_backends",
     "bounds_report",
     "canonical_certificate",
     "connected_catalog",
     "connected_graphs",
     "correct_lower_bound",
-    "diameter",
-    "domination_step",
     "edge_time_label",
     "extract_monotone_trail",
-    "forcing_step",
     "full_catalog",
     "gamma_p",
     "gen_complete",
@@ -106,12 +100,9 @@ __all__ = [
     "gen_random_tree",
     "gen_spider",
     "gen_star",
-    "is_connected",
     "is_monotone_trail",
     "is_pds",
-    "is_tree",
     "l_round_number",
-    "max_degree",
     "nonisomorphic_graphs",
     "parse_graph",
     "ppt_graph",

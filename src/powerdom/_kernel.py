@@ -1,8 +1,8 @@
 """Propagation backend selection.
 
 The compiled extension is preferred when built; the pure Python engine is
-the fallback. Set POWERDOM_PURE=1 to force the fallback (used by the
-benchmark and for debugging).
+the fallback. Set POWERDOM_PURE=1 to force the fallback, for debugging or
+to time the pure engine on a machine where the compiled one is built.
 """
 
 import os
@@ -21,6 +21,3 @@ else:
     PropagationCore = _pycore.PropagationCore
     BACKEND = "pure"
 
-
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _compiled is not None else ("pure",)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DisconnectedGraphError
 from .graph import Graph
-from .solver import DEFAULT_WORK_LIMIT, GammaResult, gamma_p
+from .solver import DEFAULT_WORK_LIMIT, gamma_p
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -77,11 +77,30 @@ def _fraction_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+# One formula per bound, on numbers the caller has already computed.
+
+
+def _correct_bound(n: int, ppt: int, delta: int) -> Fraction:
+    return Fraction(n, ppt * delta + 1)
+
+
+def _refuted_bound(n: int, diam: int, delta: int) -> Fraction:
+    return Fraction(n, diam * delta + 1)
+
+
+def _ppt_bound(n: int, gp: int, delta: int) -> int:
+    return _ceil_div(n - gp, gp * delta)
+
+
+def _tree_bound(n: int, diam: int, delta: int) -> int:
+    return _ceil_div(n, (diam - 1) * delta + 1)
+
+
 def correct_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """|V| / (ppt(G) * Delta(G) + 1), exactly. Invokes the exact solver."""
     _require_connected(g)
     result = gamma_p(g, work_limit=work_limit)
-    return Fraction(g.n, result.ppt_graph * g.max_degree() + 1)
+    return _correct_bound(g.n, result.ppt_graph, g.max_degree())
 
 
 def refuted_diameter_bound(g: Graph) -> Fraction:
@@ -91,7 +110,7 @@ def refuted_diameter_bound(g: Graph) -> Fraction:
     returned, never asserted against gamma_P.
     """
     _require_connected(g)
-    return Fraction(g.n, g.diameter() * g.max_degree() + 1)
+    return _refuted_bound(g.n, g.diameter(), g.max_degree())
 
 
 def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
@@ -100,42 +119,39 @@ def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
     gp = gamma_p(g, work_limit=work_limit).gamma_p
-    return _ceil_div(g.n - gp, gp * g.max_degree())
+    return _ppt_bound(g.n, gp, g.max_degree())
 
 
 def tree_lower_bound(g: Graph) -> int:
     """ceil(|V| / ((diam - 1) * Delta + 1)) for a tree on at least 3 vertices."""
     if g.n < 3 or not g.is_tree():
         raise ValueError("tree bound requires a tree on at least 3 vertices")
-    return _ceil_div(g.n, (g.diameter() - 1) * g.max_degree() + 1)
+    return _tree_bound(g.n, g.diameter(), g.max_degree())
 
 
-def bounds_report(
-    g: Graph,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-    _gamma: GammaResult | None = None,
-) -> BoundsReport:
+def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsReport:
     """Aggregate every bound for one connected graph (n >= 2).
 
-    The solver runs once; its gamma_P and ppt feed all derived fields.
+    The solver and the diameter run once each; their values feed all
+    derived fields.
     """
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
-    result = _gamma if _gamma is not None else gamma_p(g, work_limit=work_limit)
+    result = gamma_p(g, work_limit=work_limit)
     delta = g.max_degree()
     diam = g.diameter()
-    refuted = Fraction(g.n, diam * delta + 1)
-    tree_bound = tree_lower_bound(g) if g.n >= 3 and g.is_tree() else None
+    refuted = _refuted_bound(g.n, diam, delta)
+    is_tree = g.n >= 3 and g.is_tree()
     return BoundsReport(
         n=g.n,
         max_degree=delta,
         diameter=diam,
         gamma_p=result.gamma_p,
         ppt_graph=result.ppt_graph,
-        correct_bound_raw=Fraction(g.n, result.ppt_graph * delta + 1),
+        correct_bound_raw=_correct_bound(g.n, result.ppt_graph, delta),
         refuted_bound_raw=refuted,
-        ppt_lower_bound=_ceil_div(g.n - result.gamma_p, result.gamma_p * delta),
-        tree_bound=tree_bound,
+        ppt_lower_bound=_ppt_bound(g.n, result.gamma_p, delta),
+        tree_bound=_tree_bound(g.n, diam, delta) if is_tree else None,
         refutation_flag=refuted > result.gamma_p,
     )

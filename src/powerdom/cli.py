@@ -19,13 +19,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import families
-from .bounds import bounds_report
+from .bounds import _refuted_bound, bounds_report
 from .errors import (
     InternalConsistencyError,
     PowerdomError,
     SearchBudgetExceeded,
 )
-from .graph import Graph, diameter, max_degree, parse_graph, write_graph
+from .graph import Graph, parse_graph, write_graph
 from .propagation import is_pds, propagate
 from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
 from .trails import extract_monotone_trail
@@ -86,8 +86,8 @@ def counterexample_demo(
     rows = []
     for delta in range(delta_min, delta_max + 1):
         g, spec = families.gen_h_delta(delta)
-        diam = diameter(g)
-        deg = max_degree(g)
+        diam = g.diameter()
+        deg = g.max_degree()
         if delta <= EXACT_DEMO_DELTA:
             gamma = gamma_p(g, work_limit=work_limit).gamma_p
             mode = "exact"
@@ -106,7 +106,7 @@ def counterexample_demo(
                     )
             gamma = 2
             mode = "certified"
-        refuted = Fraction(g.n, diam * deg + 1)
+        refuted = _refuted_bound(g.n, diam, deg)
         rows.append(
             {
                 "delta": delta,
@@ -182,30 +182,26 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# family -> (generator, its integer arguments in call order); the
+# generators are looked up on `families` at call time
+_GEN_FAMILIES = {
+    "hdelta": (lambda delta: families.gen_h_delta(delta)[0], ("delta",)),
+    "path": (lambda n: families.gen_path(n), ("n",)),
+    "cycle": (lambda n: families.gen_cycle(n), ("n",)),
+    "star": (lambda k: families.gen_star(k), ("k",)),
+    "complete": (lambda n: families.gen_complete(n), ("n",)),
+    "spider": (lambda legs, length: families.gen_spider(legs, length), ("legs", "len")),
+    "rtree": (lambda n, seed: families.gen_random_tree(n, seed), ("n", "seed")),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "hdelta":
-        g, _ = families.gen_h_delta(args.delta)
-        header = f"# family: hdelta delta={args.delta}"
-    elif args.family == "path":
-        g = families.gen_path(args.n)
-        header = f"# family: path n={args.n}"
-    elif args.family == "cycle":
-        g = families.gen_cycle(args.n)
-        header = f"# family: cycle n={args.n}"
-    elif args.family == "star":
-        g = families.gen_star(args.k)
-        header = f"# family: star k={args.k}"
-    elif args.family == "complete":
-        g = families.gen_complete(args.n)
-        header = f"# family: complete n={args.n}"
-    elif args.family == "spider":
-        g = families.gen_spider(args.legs, getattr(args, "len"))
-        header = f"# family: spider legs={args.legs} len={getattr(args, 'len')}"
-    elif args.family == "rtree":
-        g = families.gen_random_tree(args.n, args.seed)
-        header = f"# family: rtree n={args.n} seed={args.seed}"
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown family {args.family}")
+    generate, names = _GEN_FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    g = generate(*values)
+    header = " ".join(
+        [f"# family: {args.family}"] + [f"{k}={v}" for k, v in zip(names, values)]
+    )
     if args.json:
         print(
             json.dumps(
@@ -316,22 +312,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", parents=[common], help="generate a named graph family")
     fam = p.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    f = fam.add_parser("hdelta", parents=[common])
-    f.add_argument("--delta", required=True, type=int)
-    f = fam.add_parser("path", parents=[common])
-    f.add_argument("--n", required=True, type=int)
-    f = fam.add_parser("cycle", parents=[common])
-    f.add_argument("--n", required=True, type=int)
-    f = fam.add_parser("star", parents=[common])
-    f.add_argument("--k", required=True, type=int)
-    f = fam.add_parser("complete", parents=[common])
-    f.add_argument("--n", required=True, type=int)
-    f = fam.add_parser("spider", parents=[common])
-    f.add_argument("--legs", required=True, type=int)
-    f.add_argument("--len", required=True, type=int)
-    f = fam.add_parser("rtree", parents=[common])
-    f.add_argument("--n", required=True, type=int)
-    f.add_argument("--seed", required=True, type=int)
+    for family, (_, names) in _GEN_FAMILIES.items():
+        f = fam.add_parser(family, parents=[common])
+        for name in names:
+            f.add_argument(f"--{name}", required=True, type=int)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("trail", parents=[common], help="extract a monotone trail")

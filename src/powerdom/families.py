@@ -26,17 +26,10 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class HDeltaSpec:
-    """Level structure and numbering map for one H_Delta instance."""
+    """Level structure of one H_Delta instance."""
 
     delta: int
     levels: tuple  # level (1, 2, or 3) per internal vertex
-
-    def one_based_id(self, v: int) -> int:
-        """The construction's 1-indexed name of internal vertex v."""
-        return v + 1
-
-    def internal_id(self, numbered: int) -> int:
-        return numbered - 1
 
 
 def gen_h_delta(delta: int) -> tuple[Graph, HDeltaSpec]:

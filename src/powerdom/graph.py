@@ -211,18 +211,3 @@ def write_graph(g: Graph) -> str:
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
-
-def max_degree(g: Graph) -> int:
-    return g.max_degree()
-
-
-def diameter(g: Graph) -> int:
-    return g.diameter()
-
-
-def is_connected(g: Graph) -> bool:
-    return g.is_connected()
-
-
-def is_tree(g: Graph) -> bool:
-    return g.is_tree()

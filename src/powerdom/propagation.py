@@ -74,30 +74,6 @@ class ObservationTrace:
         }
 
 
-def domination_step(g: Graph, s: Iterable[int]) -> frozenset:
-    """Closed neighborhood N[S] = S together with every neighbor of S."""
-    members = _mask_to_set(_as_mask(g, s))
-    out = set(members)
-    for v in members:
-        out |= g.neighbors(v)
-    return frozenset(out)
-
-
-def forcing_step(g: Graph, observed: Iterable[int]) -> frozenset:
-    """One simultaneous forcing round.
-
-    A vertex w joins iff some observed v has w as its only unobserved
-    neighbor; all such w are added together.
-    """
-    obs = _mask_to_set(_as_mask(g, observed))
-    forced = set()
-    for v in obs:
-        outside = g.neighbors(v) - obs
-        if len(outside) == 1:
-            forced |= outside
-    return frozenset(obs | forced)
-
-
 def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
     """Run the observation process from S and record the full trace."""
     start_mask = _as_mask(g, s)

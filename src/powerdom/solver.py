@@ -4,8 +4,9 @@ Candidate sets are enumerated in lexicographic order at each cardinality
 k = 1, 2, ... and tested by running propagation to its fixed point; the
 first cardinality with a hit is gamma_P, and every hit at that cardinality
 is kept as a witness. Exponential in the worst case; a configurable cap on
-propagation runs turns runaway inputs into SearchBudgetExceeded rather
-than an approximate answer.
+work (propagation runs, plus combined witnesses on a disconnected graph)
+turns runaway inputs into SearchBudgetExceeded rather than an approximate
+answer.
 
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .errors import SearchBudgetExceeded
 from .graph import Graph
@@ -51,7 +53,8 @@ class GammaResult:
 
 
 class _Budget:
-    """Counts propagation runs against a cap."""
+    """Counts work against a cap: one unit per propagation run, and one per
+    witness combined across the components of a disconnected graph."""
 
     __slots__ = ("limit", "used")
 
@@ -59,37 +62,28 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, units: int = 1):
+        self.used += units
         if self.used > self.limit:
             raise SearchBudgetExceeded(
-                f"work limit of {self.limit} propagation runs exceeded"
+                f"work limit of {self.limit} exceeded "
+                "(one unit per propagation run or combined witness)"
             )
 
 
-def _gamma_connected(g: Graph, budget: _Budget, use_dominance_cache: bool) -> GammaResult:
+def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
     core = g.core
     full = g.full_mask
-    masks = g.adjacency_masks
     for k in range(1, g.n + 1):
         witnesses = []
-        failed_closed = [] if use_dominance_cache else None
         for combo in combinations(range(g.n), k):
             start = 0
             for v in combo:
                 start |= 1 << v
-            if failed_closed is not None:
-                closed = start
-                for v in combo:
-                    closed |= masks[v]
-                if any(closed & ~c == 0 for c in failed_closed):
-                    continue
             budget.spend()
             final, steps = core.fixed_point(start)
             if final == full:
                 witnesses.append(PdsSolution(combo, steps))
-            elif failed_closed is not None:
-                failed_closed.append(closed)
         if witnesses:
             return GammaResult(
                 gamma_p=k,
@@ -99,29 +93,18 @@ def _gamma_connected(g: Graph, budget: _Budget, use_dominance_cache: bool) -> Ga
     raise AssertionError("S = V(G) always power dominates; unreachable")
 
 
-def gamma_p(
-    g: Graph,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-    use_dominance_cache: bool = False,
-) -> GammaResult:
-    """Exact gamma_P(G) with every minimum power dominating set.
-
-    use_dominance_cache enables an opt-in pruning: within one cardinality
-    level, a candidate whose closed neighborhood is contained in that of
-    an already-failed candidate is skipped (it fails by monotonicity).
-    Results are identical with or without it.
-    """
+def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
+    """Exact gamma_P(G) with every minimum power dominating set."""
     if g.n == 0:
         raise ValueError("gamma_P of the empty graph is undefined")
     budget = _Budget(work_limit)
     comps = g.components()
     if len(comps) == 1:
-        return _gamma_connected(g, budget, use_dominance_cache)
+        return _gamma_connected(g, budget)
 
-    partials = [
-        _gamma_connected(g.subgraph(comp), budget, use_dominance_cache)
-        for comp in comps
-    ]
+    partials = [_gamma_connected(g.subgraph(comp), budget) for comp in comps]
+    # charge the combined witnesses before building them
+    budget.spend(prod(len(r.witnesses) for r in partials))
     witnesses = []
     for choice in product(*(r.witnesses for r in partials)):
         vertices = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import FrozenSet
 
 from .errors import InternalConsistencyError
-from .graph import Graph, diameter, is_tree
+from .graph import Graph
 from .propagation import is_pds, ppt_of_set, propagate
 from .solver import gamma_p
 from .trails import MonotoneTrail, extract_monotone_trail
@@ -45,7 +45,7 @@ class TreeCertificate:
 
 
 def _check_tree(t: Graph) -> None:
-    if not is_tree(t):
+    if not t.is_tree():
         raise ValueError("graph is not a tree")
     if t.n < 3:
         raise ValueError(f"tree analysis needs n >= 3, got n={t.n}")
@@ -103,7 +103,7 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
 def verify_tree_diameter_bound(t: Graph) -> TreeCertificate:
     """Certify ppt(T) <= diam(T) - 1 with an explicit witness path."""
     _check_tree(t)
-    diam = diameter(t)
+    diam = t.diameter()
     result = gamma_p(t)
 
     best_original = None

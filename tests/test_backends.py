@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ except ImportError:
     _core = None
 
 needs_compiled = pytest.mark.skipif(_core is None, reason="compiled core not built")
+
+PACKAGE_DIR = os.path.dirname(_kernel.__file__)
 
 
 def random_cases(count=60, max_n=70):
@@ -35,7 +38,6 @@ def random_cases(count=60, max_n=70):
 class TestKernelContract:
     def test_backend_reported(self):
         assert _kernel.BACKEND in ("compiled", "pure")
-        assert "pure" in _kernel.available_backends()
 
     @needs_compiled
     def test_fixed_point_agrees(self):
@@ -71,3 +73,28 @@ class TestKernelContract:
             check=True,
         )
         assert out.stdout.strip() == "pure"
+
+
+def test_generated_c_quotes_current_pyx():
+    """Each `/* "powerdom/_core.pyx":N` block in the committed _core.c marks
+    the line it compiles with `# <<<<<<<<<<<<<<`; that line must be line N
+    of _core.pyx as it stands, or the .c is stale."""
+    with open(os.path.join(PACKAGE_DIR, "_core.pyx"), encoding="utf-8") as fh:
+        pyx = fh.read().splitlines()
+    with open(os.path.join(PACKAGE_DIR, "_core.c"), encoding="utf-8") as fh:
+        c_lines = fh.read().splitlines()
+    head = re.compile(r'\s*/\* "powerdom/_core\.pyx":(\d+)$')
+    mark = "             # <<<<<<<<<<<<<<"
+    refs = []
+    for i, line in enumerate(c_lines):
+        m = head.fullmatch(line)
+        if not m:
+            continue
+        j = i + 1
+        while not c_lines[j].lstrip().startswith("*/") and not c_lines[j].endswith(mark):
+            j += 1
+        assert c_lines[j].endswith(mark), f"_core.c line {i + 1}: block quotes no marked line"
+        refs.append((int(m.group(1)), c_lines[j][len(" * "):-len(mark)]))
+    assert refs, "no source references found in _core.c"
+    stale = [(n, quoted) for n, quoted in refs if n > len(pyx) or pyx[n - 1] != quoted]
+    assert not stale, f"_core.c is stale against _core.pyx at (line, quoted text): {stale[:5]}"

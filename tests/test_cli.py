@@ -121,24 +121,29 @@ class TestBounds:
         assert code == 0 and "[consistent]" in out
 
 
+GEN_CASES = [
+    (["gen", "hdelta", "--delta", "3"], 10, 14, "# family: hdelta delta=3"),
+    (["gen", "path", "--n", "6"], 6, 5, "# family: path n=6"),
+    (["gen", "cycle", "--n", "5"], 5, 5, "# family: cycle n=5"),
+    (["gen", "star", "--k", "4"], 5, 4, "# family: star k=4"),
+    (["gen", "complete", "--n", "4"], 4, 6, "# family: complete n=4"),
+    (["gen", "spider", "--legs", "3", "--len", "2"], 7, 6, "# family: spider legs=3 len=2"),
+    (["gen", "rtree", "--n", "9", "--seed", "4"], 9, 8, "# family: rtree n=9 seed=4"),
+]
+
+
 class TestGen:
     @pytest.mark.parametrize(
-        "argv,n,m",
-        [
-            (["gen", "hdelta", "--delta", "3"], 10, 14),
-            (["gen", "path", "--n", "6"], 6, 5),
-            (["gen", "cycle", "--n", "5"], 5, 5),
-            (["gen", "star", "--k", "4"], 5, 4),
-            (["gen", "complete", "--n", "4"], 4, 6),
-            (["gen", "spider", "--legs", "3", "--len", "2"], 7, 6),
-            (["gen", "rtree", "--n", "9", "--seed", "4"], 9, 8),
-        ],
+        "argv,n,m,header",
+        GEN_CASES,
+        # ids name the case by index and size only, not by the header text
+        ids=[f"argv{i}-{n}-{m}" for i, (_, n, m, _) in enumerate(GEN_CASES)],
     )
-    def test_families_emit_parseable_graphs(self, capsys, argv, n, m):
+    def test_families_emit_parseable_graphs(self, capsys, argv, n, m, header):
         code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
-        assert out.startswith("# family:")
+        assert out.splitlines()[0] == header
         g = parse_graph(out)
         assert (g.n, g.edge_count) == (n, m)
 

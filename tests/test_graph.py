@@ -6,15 +6,7 @@ from hypothesis import strategies as st
 
 from powerdom.errors import DisconnectedGraphError, GraphParseError
 from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
-from powerdom.graph import (
-    Graph,
-    diameter,
-    is_connected,
-    is_tree,
-    max_degree,
-    parse_graph,
-    write_graph,
-)
+from powerdom.graph import Graph, parse_graph, write_graph
 
 
 def graphs(max_n=8):
@@ -127,46 +119,46 @@ class TestWrite:
 
 class TestQueries:
     def test_max_degree(self):
-        assert max_degree(gen_path(3)) == 2
-        assert max_degree(Graph(1)) == 0
-        assert max_degree(gen_star(5)) == 5
+        assert gen_path(3).max_degree() == 2
+        assert Graph(1).max_degree() == 0
+        assert gen_star(5).max_degree() == 5
 
     def test_max_degree_empty_graph_errors(self):
         with pytest.raises(ValueError):
-            max_degree(Graph(0))
+            Graph(0).max_degree()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_diameter_of_paths(self, n):
-        assert diameter(gen_path(n)) == n - 1
+        assert gen_path(n).diameter() == n - 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_diameter_of_complete_graphs(self, n):
-        assert diameter(gen_complete(n)) == 1
+        assert gen_complete(n).diameter() == 1
 
     def test_diameter_k1(self):
-        assert diameter(Graph(1)) == 0
+        assert Graph(1).diameter() == 0
 
     def test_diameter_disconnected_errors(self):
         with pytest.raises(DisconnectedGraphError):
-            diameter(Graph(4, [(0, 1), (2, 3)]))
+            Graph(4, [(0, 1), (2, 3)]).diameter()
 
     def test_is_connected(self):
-        assert is_connected(gen_path(3))
-        assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+        assert gen_path(3).is_connected()
+        assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
 
     def test_is_tree(self):
-        assert is_tree(gen_path(4))
-        assert not is_tree(gen_cycle(4))
-        assert is_tree(gen_star(5))
-        assert not is_tree(Graph(4, [(0, 1), (2, 3)]))
+        assert gen_path(4).is_tree()
+        assert not gen_cycle(4).is_tree()
+        assert gen_star(5).is_tree()
+        assert not Graph(4, [(0, 1), (2, 3)]).is_tree()
 
     def test_h_delta_degree_and_diameter(self):
         # cross-module: holds for every delta, spot-checked here
         for delta in (3, 5, 9):
             g, _ = gen_h_delta(delta)
-            assert max_degree(g) == delta
-            assert diameter(g) == 4
-            assert is_connected(g)
+            assert g.max_degree() == delta
+            assert g.diameter() == 4
+            assert g.is_connected()
 
     def test_bfs_distances_marks_unreachable(self):
         g = Graph(4, [(0, 1), (2, 3)])

@@ -14,9 +14,7 @@ from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, ge
 from powerdom.graph import Graph
 from powerdom.propagation import (
     UNOBSERVED,
-    domination_step,
     edge_time_label,
-    forcing_step,
     is_pds,
     ppt_of_set,
     propagate,
@@ -59,39 +57,43 @@ def seeded_graphs(max_n=7):
 
 
 class TestSteps:
+    """Both step kinds, read off the layer chain: layers[1] is N[S], each
+    later layer is one forcing round, and the last layer is a fixed point."""
+
     def test_domination_center_of_p3(self):
-        assert domination_step(gen_path(3), {1}) == {0, 1, 2}
+        assert propagate(gen_path(3), {1}).layers[1] == {0, 1, 2}
 
     def test_domination_end_of_p3(self):
-        assert domination_step(gen_path(3), {0}) == {0, 1}
+        assert propagate(gen_path(3), {0}).layers[1] == {0, 1}
 
     def test_domination_empty_set_fixed(self):
-        assert domination_step(gen_cycle(4), set()) == set()
+        assert propagate(gen_cycle(4), set()).layers == (frozenset(),)
 
     def test_domination_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            domination_step(gen_path(3), {7})
+            propagate(gen_path(3), {7})
 
     def test_forcing_unique_neighbor(self):
-        assert forcing_step(gen_path(3), {0, 1}) == {0, 1, 2}
+        assert propagate(gen_path(3), {0}).layers[1:] == ({0, 1}, {0, 1, 2})
 
     def test_forcing_two_forcers_same_target(self):
-        assert forcing_step(gen_cycle(4), {0, 1, 3}) == {0, 1, 2, 3}
+        # 1 and 3 both see 2 as their only unobserved neighbor
+        assert propagate(gen_cycle(4), {0}).layers[1:] == ({0, 1, 3}, {0, 1, 2, 3})
 
     def test_forcing_stalls_on_branching(self):
         # star center sees two unobserved leaves, so nothing moves
-        assert forcing_step(gen_star(3), {0, 1}) == {0, 1}
+        tr = propagate(gen_star(3), {1})
+        assert tr.layers[-1] == {0, 1}
+        assert not tr.complete
 
     def test_forcing_idempotent_exactly_at_fixed_points(self):
         # stalled-but-incomplete state: star center with two dark leaves
-        stalled = frozenset({0, 1})
-        assert forcing_step(gen_star(3), stalled) == stalled
+        assert propagate(gen_star(3), {1}).layers == ({1}, {0, 1})
         # mid-run state keeps moving
-        g = gen_path(4)
-        assert forcing_step(g, {0, 1}) == {0, 1, 2}
+        assert propagate(gen_path(4), {0}).layers[1:3] == ({0, 1}, {0, 1, 2})
         # the full vertex set is always fixed
         final = frozenset(range(4))
-        assert forcing_step(g, final) == final
+        assert propagate(gen_path(4), final).layers == (final,)
 
 
 class TestPropagate:

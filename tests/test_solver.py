@@ -155,15 +155,12 @@ class TestBudget:
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(g, work_limit=10)
 
+    def test_witness_product_is_charged(self):
+        # five disjoint C_10: 50 runs, but 10^5 combined witnesses
+        g = Graph(50, [(10 * c + i, 10 * c + (i + 1) % 10) for c in range(5) for i in range(10)])
+        with pytest.raises(SearchBudgetExceeded):
+            gamma_p(g, work_limit=1000)
+
     def test_solution_unaffected_by_generous_budget(self):
         g = gen_cycle(6)
         assert gamma_p(g, work_limit=10**6).gamma_p == gamma_p(g).gamma_p
-
-
-class TestDominanceCache:
-    def test_identical_results(self, catalog_conn_8, random_connected_500):
-        sample = catalog_conn_8[:150] + random_connected_500[:40]
-        for g in sample:
-            plain = gamma_p(g)
-            cached = gamma_p(g, use_dominance_cache=True)
-            assert plain == cached
