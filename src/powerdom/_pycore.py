@@ -3,11 +3,16 @@
 Same contract as the compiled engine in _core.pyx; used as the fallback
 when the extension is not built. Vertex sets are Python ints used as
 bitmasks, so any n is supported.
+
+Each forcing round after the first scans only the observed vertices in
+N[new], where new is what the previous round added: a vertex outside
+N[new] has the same unobserved neighbours as in that round, and if it had
+exactly one then, it forced it, which would put the vertex in N[new].
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class PropagationCore:
@@ -21,56 +26,45 @@ class PropagationCore:
         self._adj = list(adj_masks)
         self._n = n
 
-    def _domination(self, cur: int) -> int:
+    def _closed_nbhd(self, m: int) -> int:
         adj = self._adj
-        nxt = cur
-        m = cur
+        out = m
         while m:
             b = m & -m
-            nxt |= adj[b.bit_length() - 1]
+            out |= adj[b.bit_length() - 1]
             m ^= b
-        return nxt
+        return out
 
-    def _force_round(self, cur: int) -> int:
+    def _rounds(self, start: int) -> Iterator[int]:
+        """Yield S[1], S[2], ... while each differs from the one before."""
         adj = self._adj
-        nxt = cur
-        m = cur
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            u = adj[v] & ~cur
-            if u and not (u & (u - 1)):
-                nxt |= u
-        return nxt
+        cur = self._closed_nbhd(start)
+        if cur == start:
+            return
+        yield cur
+        active = cur
+        while True:
+            nxt = cur
+            m = active
+            while m:
+                b = m & -m
+                m ^= b
+                u = adj[b.bit_length() - 1] & ~cur
+                if u and not (u & (u - 1)):
+                    nxt |= u
+            if nxt == cur:
+                return
+            yield nxt
+            active = self._closed_nbhd(nxt & ~cur) & nxt
+            cur = nxt
 
     def fixed_point(self, start: int) -> tuple[int, int]:
         """Run to the fixed point; return (final mask, least l with S[l+1] == S[l])."""
-        cur = start
-        nxt = self._domination(cur)
-        if nxt == cur:
-            return cur, 0
-        cur = nxt
-        steps = 1
-        while True:
-            nxt = self._force_round(cur)
-            if nxt == cur:
-                return cur, steps
-            cur = nxt
-            steps += 1
+        cur, steps = start, 0
+        for steps, cur in enumerate(self._rounds(start), 1):
+            pass
+        return cur, steps
 
     def layer_masks(self, start: int) -> list[int]:
         """All distinct layers S[0], S[1], ... up to the fixed point."""
-        layers = [start]
-        cur = start
-        nxt = self._domination(cur)
-        if nxt == cur:
-            return layers
-        layers.append(nxt)
-        cur = nxt
-        while True:
-            nxt = self._force_round(cur)
-            if nxt == cur:
-                return layers
-            layers.append(nxt)
-            cur = nxt
+        return [start, *self._rounds(start)]

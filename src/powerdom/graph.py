@@ -17,6 +17,10 @@ from typing import Iterable, Iterator
 from .errors import DisconnectedGraphError, GraphParseError
 from ._kernel import PropagationCore
 
+# Largest vertex count parse_graph accepts, far above any graph the exact
+# search can finish; checked before any per-vertex storage is allocated.
+MAX_VERTICES = 1 << 16
+
 
 class Graph:
     """A simple undirected graph over vertices 0..n-1."""
@@ -182,6 +186,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(f"non-integer token in header {header!r}", lineno) from None
     if n < 0 or m < 0:
         raise GraphParseError(f"negative count in header ({n} {m})", lineno)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
     edges = set()
     count = 0

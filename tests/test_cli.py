@@ -120,6 +120,11 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", p4_file)
         assert code == 0 and "[consistent]" in out
 
+    def test_vertex_cap_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("100000000 0"))
+        code, out, err = run(capsys, "bounds", "-")
+        assert code == 1 and out == "" and "exceeds the limit" in err
+
 
 GEN_CASES = [
     (["gen", "hdelta", "--delta", "3"], 10, 14, "# family: hdelta delta=3"),

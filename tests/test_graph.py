@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from powerdom.errors import DisconnectedGraphError, GraphParseError
 from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
-from powerdom.graph import Graph, parse_graph, write_graph
+from powerdom.graph import MAX_VERTICES, Graph, parse_graph, write_graph
 
 
 def graphs(max_n=8):
@@ -90,6 +90,8 @@ class TestParse:
             ("3 1\n", "only 0 edge lines"),
             ("3 1\n0 1\n1 2\n", "found more"),
             ("-1 0\n", "negative"),
+            # rejected before the per-vertex sets (tens of GB here) are built
+            ("100000000 0", f"limit of {MAX_VERTICES}"),
         ],
     )
     def test_parse_errors(self, text, fragment):

@@ -5,12 +5,23 @@ and no shared code with the package's kernels; the suite compares the two
 on catalogs and random instances.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerdom import _pycore
 from powerdom.errors import NotPowerDominatingError
-from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
+from powerdom.families import (
+    gen_complete,
+    gen_cycle,
+    gen_h_delta,
+    gen_path,
+    gen_random_connected,
+    gen_spider,
+    gen_star,
+)
 from powerdom.graph import Graph
 from powerdom.propagation import (
     UNOBSERVED,
@@ -54,6 +65,51 @@ def seeded_graphs(max_n=7):
             st.sets(st.integers(min_value=0, max_value=n - 1)),
         )
     )
+
+
+def relabelled_h_delta(delta):
+    """H_delta under a seeded vertex permutation, with the witness {0, delta+1}
+    and sets that stall."""
+    g, _ = gen_h_delta(delta)
+    perm = random.Random(delta).sample(range(g.n), g.n)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    seeds = [{0, delta + 1}, {0}, {1, 2}, {g.n - 9, g.n - 1}]
+    return h, [{perm[v] for v in s} for s in seeds]
+
+
+def spider_case(shape):
+    """The center completes through long chains; a leg end alone stalls."""
+    legs, leg_len = shape
+    return gen_spider(legs, leg_len), [{0}, {leg_len}, {1, leg_len + 1}]
+
+
+def sparse_case(seed):
+    """Random connected graph with n in 30..150 and up to n/4 edges beyond a
+    spanning tree. Seeds: small random sets, which mostly stall, and the
+    shortest prefix of a random vertex order that completes."""
+    rng = random.Random(seed)
+    n = rng.randint(30, 150)
+    g = gen_random_connected(n, n - 1 + rng.randint(0, n // 4), seed)
+    seeds = [set(rng.sample(range(n), rng.randint(1, 4))) for _ in range(4)]
+    order = rng.sample(range(n), n)
+    k = 1
+    while len(reference_layers(g, order[:k])[-1]) < n:
+        k += 1
+    return g, seeds + [set(order[: k - 1]), set(order[:k])]
+
+
+DIFFERENTIAL_CASES = (
+    [pytest.param(relabelled_h_delta, d, id=f"h{d}") for d in range(6, 13)]
+    + [
+        pytest.param(spider_case, shape, id=f"spider{shape[0]}x{shape[1]}")
+        for shape in [(3, 25), (5, 14), (8, 9)]
+    ]
+    + [pytest.param(sparse_case, seed, id=f"sparse{seed}") for seed in range(10)]
+)
+
+
+def to_mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 class TestSteps:
@@ -171,6 +227,17 @@ class TestPropagate:
         ref = reference_layers(g, seeds)
         assert list(tr.layers) == ref
         assert tr.complete == (ref[-1] == frozenset(range(g.n)))
+
+    @pytest.mark.parametrize("build,arg", DIFFERENTIAL_CASES)
+    def test_pure_engine_matches_reference_on_long_runs(self, build, arg):
+        # the pure engine itself, whichever engine propagate() would pick
+        g, seed_sets = build(arg)
+        core = _pycore.PropagationCore(g.adjacency_masks, g.n)
+        for seeds in seed_sets:
+            ref = [to_mask(layer) for layer in reference_layers(g, seeds)]
+            start = to_mask(seeds)
+            assert core.fixed_point(start) == (ref[-1], len(ref) - 1)
+            assert core.layer_masks(start) == ref
 
     @settings(max_examples=150, deadline=None)
     @given(seeded_graphs(max_n=6))
