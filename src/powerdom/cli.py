@@ -25,7 +25,7 @@ from .errors import (
     PowerdomError,
     SearchBudgetExceeded,
 )
-from .graph import Graph, parse_graph, write_graph
+from .graph import Graph, check_vertex_count, parse_graph, write_graph
 from .propagation import is_pds, propagate
 from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
 from .trails import extract_monotone_trail
@@ -83,6 +83,8 @@ def counterexample_demo(
     """
     if not (3 <= delta_min <= delta_max):
         raise ValueError(f"need 3 <= from <= to, got {delta_min}..{delta_max}")
+    # refuse an oversized last row before solving the rows below it
+    check_vertex_count(delta_max * delta_max + 1)
     rows = []
     for delta in range(delta_min, delta_max + 1):
         g, spec = families.gen_h_delta(delta)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ def gen_h_delta(delta: int) -> tuple[Graph, HDeltaSpec]:
     if delta < 3:
         raise ValueError(f"H_Delta requires delta >= 3, got {delta}")
     n = delta * delta + 1
+    check_vertex_count(n)
     edges = []
     # level 1 to level 2
     edges.extend((0, j) for j in range(1, delta + 1))
@@ -53,12 +54,14 @@ def gen_h_delta(delta: int) -> tuple[Graph, HDeltaSpec]:
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
+    check_vertex_count(n)
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -66,12 +69,14 @@ def gen_star(k: int) -> Graph:
     """K_{1,k} with center 0."""
     if k < 1:
         raise ValueError(f"star needs k >= 1 leaves, got {k}")
+    check_vertex_count(k + 1)
     return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def gen_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
+    check_vertex_count(n)
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -79,6 +84,7 @@ def gen_spider(legs: int, leg_len: int) -> Graph:
     """Center 0 with `legs` paths of `leg_len` edges attached."""
     if legs < 1 or leg_len < 1:
         raise ValueError(f"spider needs legs >= 1 and leg_len >= 1, got {legs}, {leg_len}")
+    check_vertex_count(1 + legs * leg_len)
     edges = []
     for leg in range(legs):
         prev = 0
@@ -93,6 +99,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via Prufer sequence decoding."""
     if n < 1:
         raise ValueError(f"tree needs n >= 1, got {n}")
+    check_vertex_count(n)
     if n == 1:
         return Graph(1)
     if n == 2:
@@ -130,6 +137,7 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
     """Random connected graph: a random spanning tree plus m-(n-1) extra edges."""
     if n < 1:
         raise ValueError(f"graph needs n >= 1, got {n}")
+    check_vertex_count(n)
     max_m = n * (n - 1) // 2
     if not (n - 1 <= m <= max_m):
         raise ValueError(f"need n-1 <= m <= n(n-1)/2, got m={m} for n={n}")

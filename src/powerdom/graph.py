@@ -17,9 +17,15 @@ from typing import Iterable, Iterator
 from .errors import DisconnectedGraphError, GraphParseError
 from ._kernel import PropagationCore
 
-# Largest vertex count parse_graph accepts, far above any graph the exact
+# Largest vertex count a Graph may have, far above any graph the exact
 # search can finish; checked before any per-vertex storage is allocated.
 MAX_VERTICES = 1 << 16
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError if a graph on n vertices would exceed MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 class Graph:
@@ -30,6 +36,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        check_vertex_count(n)
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:

@@ -11,6 +11,16 @@ answer.
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
 a combined witness is the max over its parts.
+
+The l-round search tests only sets of representatives: vertex x is
+skipped when some neighbour y has N[x] strictly inside N[y], or N[x] = N[y]
+and y < x. Swapping x for y keeps l-round success because N[S] can only
+grow and one forcing round is monotone in the observed set (if A is inside
+B, whatever A forces is in B or forced by B), so every later layer grows
+too; each swap raises (|N[y]|, -y), so repeated swaps end at a
+representative. gamma_p does not prune this way: its witness list must
+hold every minimum power dominating set, including those that use a
+dominated vertex such as a leaf.
 """
 
 from __future__ import annotations
@@ -126,11 +136,28 @@ def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     return gamma_p(g, work_limit=work_limit).ppt_graph
 
 
+def _representatives(g: Graph) -> list[int]:
+    """Vertices x with no neighbour y such that N[x] is strictly inside N[y],
+    or N[x] = N[y] and y < x. Only neighbours need checking: N[x] inside N[y]
+    puts x in N[y], so y is in N[x]."""
+    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
+    reps = []
+    for x, cx in enumerate(closed):
+        for y in g.neighbors(x):
+            cy = closed[y]
+            if cx & cy == cx and (cy != cx or y < x):
+                break
+        else:
+            reps.append(x)
+    return reps
+
+
 def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
     core = g.core
     full = g.full_mask
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
+    reps = _representatives(g)
+    for k in range(1, len(reps) + 1):
+        for combo in combinations(reps, k):
             start = 0
             for v in combo:
                 start |= 1 << v
@@ -138,7 +165,7 @@ def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
             final, steps = core.fixed_point(start)
             if final == full and steps <= l:
                 return k
-    raise AssertionError("S = V(G) power dominates in time 0; unreachable")
+    raise AssertionError("the representatives dominate G in one round; unreachable")
 
 
 def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> int:

@@ -163,6 +163,10 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "path", "--n", "3", "--json")
         assert json.loads(out) == {"n": 3, "m": 2, "edges": [[0, 1], [1, 2]]}
 
+    def test_vertex_cap_exits_1(self, capsys):
+        code, out, err = run(capsys, "gen", "path", "--n", "100000")
+        assert code == 1 and out == "" and "exceeds the limit" in err
+
 
 class TestTrail:
     def test_human(self, capsys, p4_file):
@@ -222,6 +226,12 @@ class TestDemo:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "demo", "--from", "2", "--to", "4")
         assert code == 1 and "3 <= from" in err
+
+    @pytest.mark.parametrize("first", ["3", "300"])
+    def test_vertex_cap_exits_1(self, capsys, first):
+        # H_300 has 90,001 vertices; no row is solved before the refusal
+        code, out, err = run(capsys, "demo", "--from", first, "--to", "300")
+        assert code == 1 and out == "" and "exceeds the limit" in err
 
 
 class TestExitCodes:

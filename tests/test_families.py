@@ -94,6 +94,28 @@ class TestShapes:
         assert gen_spider(1, 4) == gen_path(5)
 
 
+class TestVertexCap:
+    # a small cap keeps the test cheap even where a generator ignores it
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: gen_h_delta(5),
+            lambda: gen_path(21),
+            lambda: gen_cycle(21),
+            lambda: gen_star(20),
+            lambda: gen_complete(21),
+            lambda: gen_spider(4, 5),
+            lambda: gen_random_tree(21, 0),
+            lambda: gen_random_connected(21, 20, 0),
+        ],
+        ids=["hdelta", "path", "cycle", "star", "complete", "spider", "rtree", "connected"],
+    )
+    def test_rejected_above_the_cap(self, monkeypatch, generate):
+        monkeypatch.setattr("powerdom.graph.MAX_VERTICES", 20)
+        with pytest.raises(ValueError, match="limit of 20"):
+            generate()
+
+
 class TestRandomTrees:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_always_a_tree(self, n):

@@ -41,6 +41,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
+    def test_rejects_too_many_vertices(self):
+        with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+            Graph(MAX_VERTICES + 1)
+
     def test_adjacency_is_symmetric(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
         for u in range(4):

@@ -4,17 +4,19 @@ import itertools
 
 import pytest
 
+from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import SearchBudgetExceeded
 from powerdom.families import (
     gen_complete,
     gen_cycle,
     gen_h_delta,
     gen_path,
+    gen_random_tree,
     gen_spider,
     gen_star,
 )
 from powerdom.graph import Graph
-from powerdom.propagation import is_pds, ppt_of_set
+from powerdom.propagation import is_pds, ppt_of_set, propagate
 from powerdom.solver import gamma_p, l_round_number, ppt_graph
 
 
@@ -29,6 +31,31 @@ def brute_minimum_sets(g):
         if found:
             return k, found
     raise AssertionError("unreachable: V(G) always power dominates")
+
+
+def brute_l_round_numbers(g, ls):
+    """{l: least |S| whose layer min(l, steps) is all of V}, over every subset."""
+    everything = frozenset(range(g.n))
+    found = {}
+    for k in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            trace = propagate(g, combo)
+            for l in ls:
+                if l not in found and trace.layers[min(l, trace.steps)] == everything:
+                    found[l] = k
+        if len(found) == len(ls):
+            return found
+    raise AssertionError("unreachable: V(G) power dominates in time 0")
+
+
+def l_round_corpus():
+    yield from (g for n in range(1, 8) for g in nonisomorphic_graphs(n))
+    yield gen_complete(5)
+    yield Graph(5, [(a, b) for a in range(2) for b in range(2, 5)])  # K_{2,3}
+    yield gen_star(6)
+    yield gen_spider(3, 3)
+    yield from (gen_random_tree(12, seed) for seed in range(30))
+    yield Graph(5, [(0, 1), (1, 2), (2, 3)])  # P_4 plus an isolated vertex
 
 
 class TestGammaExamples:
@@ -147,6 +174,15 @@ class TestLRound:
     def test_disconnected_sums(self):
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert l_round_number(g, 1) == 2
+
+    def test_matches_all_subsets_oracle(self):
+        # the search skips dominated vertices, so compare every l with a
+        # search over all subsets; twins and leaves are the risky cases
+        ls = (1, 2, 3, 4)
+        for g in l_round_corpus():
+            expect = brute_l_round_numbers(g, ls)
+            got = {l: l_round_number(g, l) for l in ls}
+            assert got == expect, f"n={g.n} {g.edges()}"
 
 
 class TestBudget:
