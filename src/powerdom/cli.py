@@ -342,6 +342,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse drops the value of "--opt=--" and stores [] instead;
+        # no option here takes a list
+        if [] in vars(args).values():
+            parser.error("an option value cannot be '--'")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, check_vertex_count
+from .graph import Graph, check_edge_count, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ def gen_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     check_vertex_count(n)
+    check_edge_count(n * (n - 1) // 2)
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -139,6 +140,8 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"graph needs n >= 1, got {n}")
     check_vertex_count(n)
     max_m = n * (n - 1) // 2
+    # the non-edge list below has up to max_m entries whatever m is
+    check_edge_count(max_m)
     if not (n - 1 <= m <= max_m):
         raise ValueError(f"need n-1 <= m <= n(n-1)/2, got m={m} for n={n}")
     tree = gen_random_tree(n, seed)

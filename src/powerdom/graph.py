@@ -20,12 +20,21 @@ from ._kernel import PropagationCore
 # Largest vertex count a Graph may have, far above any graph the exact
 # search can finish; checked before any per-vertex storage is allocated.
 MAX_VERTICES = 1 << 16
+# Largest edge count a generator may build or a file header may declare;
+# K_2048 still fits. Checked before any edge list is built.
+MAX_EDGES = 1 << 21
 
 
 def check_vertex_count(n: int) -> None:
     """Raise ValueError if a graph on n vertices would exceed MAX_VERTICES."""
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def check_edge_count(m: int) -> None:
+    """Raise ValueError if a graph with m edges would exceed MAX_EDGES."""
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
 
 
 class Graph:
@@ -193,8 +202,11 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(f"non-integer token in header {header!r}", lineno) from None
     if n < 0 or m < 0:
         raise GraphParseError(f"negative count in header ({n} {m})", lineno)
-    if n > MAX_VERTICES:
-        raise GraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
+    try:
+        check_vertex_count(n)
+        check_edge_count(m)
+    except ValueError as exc:
+        raise GraphParseError(str(exc), lineno) from None
 
     edges = set()
     count = 0

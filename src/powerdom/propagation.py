@@ -31,13 +31,14 @@ def _as_mask(g: Graph, s: Iterable[int]) -> int:
     return mask
 
 
-def _mask_to_set(mask: int) -> frozenset:
+def _bits(mask: int) -> list:
+    """The set bits of mask, lowest first."""
     out = []
     while mask:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
-    return frozenset(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,29 @@ class ObservationTrace:
 
 
 def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
-    """Run the observation process from S and record the full trace."""
-    start_mask = _as_mask(g, s)
-    masks = g.core.layer_masks(start_mask)
-    layers = tuple(_mask_to_set(m) for m in masks)
+    """Run the observation process from S and record the full trace.
 
-    labels = [UNOBSERVED] * g.n
-    for v in layers[0]:
-        labels[v] = 0
-    for i in range(1, len(layers)):
-        for v in layers[i] - layers[i - 1]:
-            labels[v] = i
-
-    record = {}
+    Each layer is the previous one plus its new bits, visited once in
+    ascending order; that one visit sets the vertex's time label and its
+    forcing record.
+    """
+    masks = g.core.layer_masks(_as_mask(g, s))
     adj_masks = g.adjacency_masks
+    seeds = _bits(masks[0])
+    labels = [UNOBSERVED] * g.n
+    for v in seeds:
+        labels[v] = 0
+    layers = [frozenset(seeds)]
+    record = {}
     for i in range(1, len(masks)):
         prev = masks[i - 1]
-        new_bits = masks[i] & ~prev
-        for v in sorted(_mask_to_set(new_bits)):
+        new = _bits(masks[i] & ~prev)
+        for v in new:
+            labels[v] = i
             if i == 1:
                 # dominated: smallest seed neighbor
-                w = min(g.neighbors(v) & layers[0])
+                seed_nbrs = adj_masks[v] & masks[0]
+                w = (seed_nbrs & -seed_nbrs).bit_length() - 1
             else:
                 # smallest observed vertex whose unique unobserved neighbor was v
                 w = min(
@@ -104,12 +107,13 @@ def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
                     if (prev >> u) & 1 and adj_masks[u] & ~prev == (1 << v)
                 )
             record[v] = (w, i)
+        layers.append(layers[-1].union(new))
 
     complete = masks[-1] == g.full_mask
     return ObservationTrace(
         graph=g,
         start=layers[0],
-        layers=layers,
+        layers=tuple(layers),
         time_label=tuple(labels),
         forcing_record=record,
         complete=complete,

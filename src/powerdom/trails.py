@@ -10,6 +10,14 @@ every vertex v outside the set is the endpoint of a monotone trail of
 length at least t(v) + 1; extract_monotone_trail builds one by walking the
 forcing history backwards. That existence is checked constructively by the
 test suite rather than assumed.
+
+The backward walk is iterative: every step moves to a vertex observed one
+round earlier, so it appends to one list, which is reversed once at the
+end. Trail length is bounded only by the graph, not by a recursion limit.
+One checking pass, _trail_labels, both computes the edge labels and finds
+the first violated condition. is_monotone_trail reports that violation,
+and extract_monotone_trail keeps it as a self-check on every trail it
+returns, so each trail is walked once and checked once.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError
 from .graph import Graph
-from .propagation import UNOBSERVED, ObservationTrace, edge_time_label
+from .propagation import UNOBSERVED, ObservationTrace
 
 
 @dataclass(frozen=True)
@@ -58,39 +66,53 @@ class TrailCheck(NamedTuple):
         return self.ok
 
 
+def _check_vertices(g: Graph, vertices: Sequence[int]) -> None:
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
+def _trail_labels(g: Graph, t: Sequence[int], vertices: Sequence[int]) -> tuple:
+    """(edge labels, None) for a monotone trail, else (None, first violation).
+
+    Vertices must be in range and observed, and there must be at least two.
+    """
+    adj = g.adjacency_masks
+    seen = set()
+    labels = []
+    a = vertices[0]
+    for b in vertices[1:]:
+        if not (adj[a] >> b) & 1:
+            return None, f"consecutive vertices {a},{b} are not adjacent"
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            return None, f"edge {{{a},{b}}} repeats"
+        seen.add(key)
+        ta, tb = t[a], t[b]
+        labels.append(ta if ta > tb else tb)
+        a = b
+    for i in range(1, len(labels)):
+        if not labels[i - 1] <= labels[i] <= labels[i - 1] + 1:
+            return None, (
+                f"edge labels {labels[i-1]} -> {labels[i]} violate monotonicity at position {i}"
+            )
+    if labels[-1] != t[a]:
+        return None, f"last edge label {labels[-1]} differs from last vertex label {t[a]}"
+    return tuple(labels), None
+
+
 def is_monotone_trail(
     g: Graph, trace: ObservationTrace, vertices: Sequence[int]
 ) -> TrailCheck:
     """Check the monotone trail conditions; report the first violation."""
+    _check_vertices(g, vertices)
     if len(vertices) < 2:
         raise ValueError("a trail needs at least one edge (two vertices)")
     for v in vertices:
         if trace.time_label[v] == UNOBSERVED:
             raise ValueError(f"vertex {v} is unobserved in this trace")
-
-    seen_edges = set()
-    labels = []
-    for a, b in zip(vertices, vertices[1:]):
-        if b not in g.neighbors(a):
-            return TrailCheck(False, f"consecutive vertices {a},{b} are not adjacent")
-        key = frozenset((a, b))
-        if key in seen_edges:
-            return TrailCheck(False, f"edge {{{a},{b}}} repeats")
-        seen_edges.add(key)
-        labels.append(edge_time_label(trace, a, b))
-    for i in range(1, len(labels)):
-        if not labels[i - 1] <= labels[i] <= labels[i - 1] + 1:
-            return TrailCheck(
-                False,
-                f"edge labels {labels[i-1]} -> {labels[i]} violate monotonicity at position {i}",
-            )
-    if labels[-1] != trace.time_label[vertices[-1]]:
-        return TrailCheck(
-            False,
-            f"last edge label {labels[-1]} differs from last vertex label "
-            f"{trace.time_label[vertices[-1]]}",
-        )
-    return TrailCheck(True)
+    _, reason = _trail_labels(g, trace.time_label, vertices)
+    return TrailCheck(reason is None, reason)
 
 
 def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> MonotoneTrail:
@@ -103,6 +125,7 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     observed at exactly i-1 when the forcer was observed earlier. Ties
     always break to the smallest vertex ID, so extraction is deterministic.
     """
+    _check_vertices(g, (v,))
     for u in trace.start:
         if g.degree(u) <= 1:
             raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
@@ -112,37 +135,35 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
         raise ValueError(f"vertex {v} is unobserved in this trace")
 
     t = trace.time_label
-    memo: dict[int, tuple] = {}
-
-    def build(x: int) -> tuple:
-        if x in memo:
-            return memo[x]
+    record = trace.forcing_record
+    adj = g.adjacency_masks
+    # the trail from its end backwards; each step lowers the time label by one
+    walk = [v]
+    x = v
+    while t[x] != 1:
         i = t[x]
-        if i == 1:
-            u, _ = trace.forcing_record[x]  # smallest seed neighbor
-            w = min(g.neighbors(u) - {x})
-            out = (w, u, x)
+        w, _ = record[x]
+        if t[w] == i - 1:
+            x = w
         else:
-            w, _ = trace.forcing_record[x]
-            if t[w] == i - 1:
-                out = build(w) + (x,)
-            else:
-                level = [y for y in g.neighbors(w) if t[y] == i - 1]
-                if not level:
-                    raise InternalConsistencyError(
-                        f"forcer {w} of {x} (step {i}) has no neighbor observed at {i-1}"
-                    )
-                out = build(min(level)) + (w, x)
-        memo[x] = out
-        return out
+            level = [y for y in g.neighbors(w) if t[y] == i - 1]
+            if not level:
+                raise InternalConsistencyError(
+                    f"forcer {w} of {x} (step {i}) has no neighbor observed at {i-1}"
+                )
+            walk.append(w)
+            x = min(level)
+        walk.append(x)
+    u, _ = record[x]  # smallest seed neighbor
+    others = adj[u] & ~(1 << x)
+    walk.append(u)
+    walk.append((others & -others).bit_length() - 1)  # the seed's smallest other neighbor
+    walk.reverse()
 
-    vertices = build(v)
-    labels = tuple(edge_time_label(trace, a, b) for a, b in zip(vertices, vertices[1:]))
-    trail = MonotoneTrail(vertices=vertices, edge_labels=labels)
-
-    check = is_monotone_trail(g, trace, vertices)
-    if not check or trail.length < t[v] + 1:
+    vertices = tuple(walk)
+    labels, reason = _trail_labels(g, t, vertices)
+    if reason is not None or len(labels) < t[v] + 1:
         raise InternalConsistencyError(
-            f"extracted trail for vertex {v} is invalid: {check.reason or 'too short'}"
+            f"extracted trail for vertex {v} is invalid: {reason or 'too short'}"
         )
-    return trail
+    return MonotoneTrail(vertices=vertices, edge_labels=labels)

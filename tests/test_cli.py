@@ -1,9 +1,13 @@
 """Command line behavior: output shapes, exit codes, stdin, piping."""
 
+import contextlib
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerdom.cli import counterexample_demo, main
 from powerdom.families import gen_h_delta, gen_path
@@ -167,6 +171,11 @@ class TestGen:
         code, out, err = run(capsys, "gen", "path", "--n", "100000")
         assert code == 1 and out == "" and "exceeds the limit" in err
 
+    def test_edge_cap_exits_1(self, capsys):
+        # K_65536 is under the vertex cap but would have 2.1e9 edges
+        code, out, err = run(capsys, "gen", "complete", "--n", "65536")
+        assert code == 1 and out == "" and "edge count 2147450880 exceeds" in err
+
 
 class TestTrail:
     def test_human(self, capsys, p4_file):
@@ -183,6 +192,18 @@ class TestTrail:
     def test_precondition_failure_is_usage_error(self, capsys, p4_file):
         code, _, err = run(capsys, "trail", "--set", "0", "--vertex", "3", p4_file)
         assert code == 1 and "degree" in err
+
+    def test_long_path(self, capsys, tmp_path):
+        path = tmp_path / "p3000.txt"
+        path.write_text(write_graph(gen_path(3000)))
+        code, out, _ = run(capsys, "trail", "--set", "1", "--vertex", "2999", str(path))
+        assert code == 0 and "length 2999" in out
+
+    @pytest.mark.parametrize("vertex", ["9", "-1", "4"])
+    def test_out_of_range_vertex_exits_1(self, capsys, p4_file, vertex):
+        code, out, err = run(capsys, "trail", "--set", "1", f"--vertex={vertex}", p4_file)
+        assert code == 1 and out == ""
+        assert err == f"powerdom: vertex {vertex} out of range for n=4\n"
 
 
 class TestVerifyTree:
@@ -255,6 +276,73 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--set=--", "-"],
+            ["trail", "--set=1", "--vertex=--", "-"],
+            ["gen", "path", "--n=--"],
+        ],
+        ids=["set", "vertex", "gen"],
+    )
+    def test_option_value_double_dash(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "cannot be '--'" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+
+def _graph_texts():
+    """Valid small graphs, and short texts that are mostly not graphs."""
+    valid = st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=10,
+        ).map(lambda edges: f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    )
+    junk = st.text(alphabet="0123456789 -#x\n", max_size=24)
+    return st.one_of(valid, junk)
+
+
+_ID = st.one_of(
+    st.integers(min_value=-3, max_value=9).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "-", "--", "0x1", "99999999999999999999"]),
+)
+_ID_LIST = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=9), max_size=3).map(
+        lambda ids: ",".join(map(str, ids))
+    ),
+    _ID,
+    st.text(alphabet="0123456789, -x", max_size=8),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_graph_texts(),
+        command=st.sampled_from(["propagate", "trail"]),
+        ids=_ID_LIST,
+        vertex=_ID,
+        as_json=st.booleans(),
+    )
+    def test_trace_commands_exit_0_or_1(self, text, command, ids, vertex, as_json):
+        argv = [command, f"--set={ids}", "-"]
+        if command == "trail":
+            argv.append(f"--vertex={vertex}")
+        if as_json:
+            argv.append("--json")
+        saved = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv)
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1)

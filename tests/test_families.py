@@ -12,6 +12,7 @@ from powerdom.families import (
     gen_spider,
     gen_star,
 )
+from powerdom.graph import check_edge_count
 
 
 class TestHDelta:
@@ -114,6 +115,28 @@ class TestVertexCap:
         monkeypatch.setattr("powerdom.graph.MAX_VERTICES", 20)
         with pytest.raises(ValueError, match="limit of 20"):
             generate()
+
+
+class TestEdgeCap:
+    # n(n-1)/2 is checked before the edge or non-edge list is built, so
+    # K_7 (21 edges) is refused under a cap of 20 and K_6 (15) is not
+    @pytest.mark.parametrize(
+        "generate",
+        [lambda: gen_complete(7), lambda: gen_random_connected(7, 6, 0)],
+        ids=["complete", "connected"],
+    )
+    def test_rejected_above_the_cap(self, monkeypatch, generate):
+        monkeypatch.setattr("powerdom.graph.MAX_EDGES", 20)
+        with pytest.raises(ValueError, match="edge count 21 exceeds the limit of 20"):
+            generate()
+
+    def test_accepted_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr("powerdom.graph.MAX_EDGES", 15)
+        assert gen_complete(6).edge_count == 15
+        assert gen_random_connected(6, 5, 0).edge_count == 5
+
+    def test_complete_2048_fits(self):
+        check_edge_count(2048 * 2047 // 2)
 
 
 class TestRandomTrees:

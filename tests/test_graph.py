@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from powerdom.errors import DisconnectedGraphError, GraphParseError
 from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
-from powerdom.graph import MAX_VERTICES, Graph, parse_graph, write_graph
+from powerdom.graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph, write_graph
 
 
 def graphs(max_n=8):
@@ -96,6 +96,8 @@ class TestParse:
             ("-1 0\n", "negative"),
             # rejected before the per-vertex sets (tens of GB here) are built
             ("100000000 0", f"limit of {MAX_VERTICES}"),
+            # rejected before any edge line is read
+            ("2 3000000", f"limit of {MAX_EDGES}"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -105,6 +107,10 @@ class TestParse:
     def test_errors_name_the_line(self):
         with pytest.raises(GraphParseError, match=r"line 4"):
             parse_graph("# comment\n3 2\n0 1\n1 1\n")
+
+    def test_edge_cap_names_the_line(self):
+        with pytest.raises(GraphParseError, match=r"line 2: edge count 3000000 exceeds"):
+            parse_graph("# comment\n2 3000000\n0 1\n")
 
 
 class TestWrite:

@@ -1,12 +1,30 @@
 """Monotone trails: the checker and the constructive extractor."""
 
+import itertools
+import random
+
 import pytest
 
+from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import InternalConsistencyError
-from powerdom.families import gen_cycle, gen_path, gen_star
+from powerdom.families import (
+    gen_cycle,
+    gen_h_delta,
+    gen_path,
+    gen_random_connected,
+    gen_random_tree,
+    gen_spider,
+    gen_star,
+)
 from powerdom.graph import Graph
-from powerdom.propagation import propagate
-from powerdom.trails import extract_monotone_trail, is_monotone_trail
+from powerdom.propagation import (
+    UNOBSERVED,
+    ObservationTrace,
+    edge_time_label,
+    is_pds,
+    propagate,
+)
+from powerdom.trails import MonotoneTrail, TrailCheck, extract_monotone_trail, is_monotone_trail
 
 
 def c8_with_chord():
@@ -72,6 +90,16 @@ class TestChecker:
         with pytest.raises(ValueError):
             is_monotone_trail(g, tr, [1, 0, 2])
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_out_of_range_vertex_rejected(self, v, where):
+        g = gen_path(4)
+        tr = propagate(g, {1})
+        walk = [0, 1, 2, 3]
+        walk[where] = v
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            is_monotone_trail(g, tr, walk)
+
 
 class TestExtraction:
     def test_p4(self):
@@ -129,3 +157,263 @@ class TestExtraction:
         tr = propagate(g, {0})
         with pytest.raises(ValueError, match="unobserved"):
             extract_monotone_trail(g, tr, 5)
+
+    def test_long_path_has_no_recursion_limit(self):
+        g = gen_path(3000)
+        tr = propagate(g, {1})
+        trail = extract_monotone_trail(g, tr, 2999)
+        assert trail.length == 2999
+        assert trail.vertices == (0, *range(1, 3000))
+        assert is_monotone_trail(g, tr, trail.vertices)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_out_of_range_vertex_rejected(self, v):
+        g = gen_path(4)
+        tr = propagate(g, {1})
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            extract_monotone_trail(g, tr, v)
+
+
+# -- reference oracles ---------------------------------------------------
+#
+# The recursive extractor, the two-pass checker and the propagate()
+# layer/record loop as they stood before the single-pass rewrite, copied
+# unchanged apart from names. The rewrite must agree with them bit for bit.
+
+
+def _ref_mask_to_set(mask: int) -> frozenset:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return frozenset(out)
+
+
+def ref_propagate(g, s):
+    start_mask = sum(1 << v for v in set(s))
+    masks = g.core.layer_masks(start_mask)
+    layers = tuple(_ref_mask_to_set(m) for m in masks)
+
+    labels = [UNOBSERVED] * g.n
+    for v in layers[0]:
+        labels[v] = 0
+    for i in range(1, len(layers)):
+        for v in layers[i] - layers[i - 1]:
+            labels[v] = i
+
+    record = {}
+    adj_masks = g.adjacency_masks
+    for i in range(1, len(masks)):
+        prev = masks[i - 1]
+        new_bits = masks[i] & ~prev
+        for v in sorted(_ref_mask_to_set(new_bits)):
+            if i == 1:
+                # dominated: smallest seed neighbor
+                w = min(g.neighbors(v) & layers[0])
+            else:
+                # smallest observed vertex whose unique unobserved neighbor was v
+                w = min(
+                    u
+                    for u in g.neighbors(v)
+                    if (prev >> u) & 1 and adj_masks[u] & ~prev == (1 << v)
+                )
+            record[v] = (w, i)
+
+    complete = masks[-1] == g.full_mask
+    return ObservationTrace(
+        graph=g,
+        start=layers[0],
+        layers=layers,
+        time_label=tuple(labels),
+        forcing_record=record,
+        complete=complete,
+    )
+
+
+def ref_is_monotone_trail(g, trace, vertices):
+    if len(vertices) < 2:
+        raise ValueError("a trail needs at least one edge (two vertices)")
+    for v in vertices:
+        if trace.time_label[v] == UNOBSERVED:
+            raise ValueError(f"vertex {v} is unobserved in this trace")
+
+    seen_edges = set()
+    labels = []
+    for a, b in zip(vertices, vertices[1:]):
+        if b not in g.neighbors(a):
+            return TrailCheck(False, f"consecutive vertices {a},{b} are not adjacent")
+        key = frozenset((a, b))
+        if key in seen_edges:
+            return TrailCheck(False, f"edge {{{a},{b}}} repeats")
+        seen_edges.add(key)
+        labels.append(edge_time_label(trace, a, b))
+    for i in range(1, len(labels)):
+        if not labels[i - 1] <= labels[i] <= labels[i - 1] + 1:
+            return TrailCheck(
+                False,
+                f"edge labels {labels[i-1]} -> {labels[i]} violate monotonicity at position {i}",
+            )
+    if labels[-1] != trace.time_label[vertices[-1]]:
+        return TrailCheck(
+            False,
+            f"last edge label {labels[-1]} differs from last vertex label "
+            f"{trace.time_label[vertices[-1]]}",
+        )
+    return TrailCheck(True)
+
+
+def ref_extract_monotone_trail(g, trace, v):
+    for u in trace.start:
+        if g.degree(u) <= 1:
+            raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
+    if v in trace.start:
+        raise ValueError(f"vertex {v} is a seed; trails end outside the seed set")
+    if trace.time_label[v] == UNOBSERVED:
+        raise ValueError(f"vertex {v} is unobserved in this trace")
+
+    t = trace.time_label
+    memo = {}
+
+    def build(x):
+        if x in memo:
+            return memo[x]
+        i = t[x]
+        if i == 1:
+            u, _ = trace.forcing_record[x]  # smallest seed neighbor
+            w = min(g.neighbors(u) - {x})
+            out = (w, u, x)
+        else:
+            w, _ = trace.forcing_record[x]
+            if t[w] == i - 1:
+                out = build(w) + (x,)
+            else:
+                level = [y for y in g.neighbors(w) if t[y] == i - 1]
+                if not level:
+                    raise InternalConsistencyError(
+                        f"forcer {w} of {x} (step {i}) has no neighbor observed at {i-1}"
+                    )
+                out = build(min(level)) + (w, x)
+        memo[x] = out
+        return out
+
+    vertices = build(v)
+    labels = tuple(edge_time_label(trace, a, b) for a, b in zip(vertices, vertices[1:]))
+    trail = MonotoneTrail(vertices=vertices, edge_labels=labels)
+
+    check = ref_is_monotone_trail(g, trace, vertices)
+    if not check or trail.length < t[v] + 1:
+        raise InternalConsistencyError(
+            f"extracted trail for vertex {v} is invalid: {check.reason or 'too short'}"
+        )
+    return trail
+
+
+# -- differential corpus -------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """The value, or the exception type and message, so failures compare too."""
+    try:
+        return fn(*args)
+    except (ValueError, InternalConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _relabel(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
+
+
+def _greedy_seeds(g, rng):
+    """Degree >= 2 vertices in a seeded order until they power dominate."""
+    order = [v for v in range(g.n) if g.degree(v) >= 2]
+    rng.shuffle(order)
+    for k in range(1, len(order) + 1):
+        if is_pds(g, order[:k]):
+            return set(order[:k])
+    return set(order)
+
+
+def catalog_cases():
+    """Every graph with n <= 6, with every degree >= 2 seed set of size <= 2."""
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            cand = [v for v in range(n) if g.degree(v) >= 2]
+            for k in (1, 2):
+                for s in itertools.combinations(cand, k):
+                    yield g, set(s)
+
+
+def hdelta_cases():
+    rng = random.Random(6)
+    for delta in range(6, 11):
+        g, _ = gen_h_delta(delta)
+        h, perm = _relabel(g, rng)
+        yield h, {perm[0], perm[delta + 1]}
+
+
+def spider_cases():
+    for legs, leg_len in [(3, 25), (5, 14), (8, 9)]:
+        yield gen_spider(legs, leg_len), {0}
+
+
+def tree_cases():
+    rng = random.Random(30)
+    for _ in range(10):
+        g = gen_random_tree(rng.randint(30, 79), rng.randrange(1 << 30))
+        yield g, _greedy_seeds(g, rng)
+
+
+def sparse_cases():
+    rng = random.Random(31)
+    for _ in range(10):
+        n = rng.randint(30, 79)
+        g = gen_random_connected(n, (5 * n + 2) // 4, rng.randrange(1 << 30))
+        yield g, _greedy_seeds(g, rng)
+
+
+def _random_walks(g, rng, count):
+    """Walks that mostly follow edges, with some steps back along the last
+    edge (a repeat) and some jumps to an arbitrary vertex (often no edge)."""
+    for _ in range(count):
+        walk = [rng.randrange(g.n)]
+        for _ in range(rng.randint(1, 8)):
+            r = rng.random()
+            nbrs = sorted(g.neighbors(walk[-1]))
+            if r < 0.7 and nbrs:
+                walk.append(rng.choice(nbrs))
+            elif r < 0.85 and len(walk) >= 2:
+                walk.append(walk[-2])
+            else:
+                walk.append(rng.randrange(g.n))
+        yield walk
+
+
+class TestMatchesRecursiveExtractor:
+    @pytest.mark.parametrize(
+        "cases",
+        [catalog_cases, hdelta_cases, spider_cases, tree_cases, sparse_cases],
+        ids=["catalog", "hdelta", "spider", "tree", "sparse"],
+    )
+    def test_traces_trails_and_checks_agree(self, cases):
+        rng = random.Random(cases.__name__)
+        for g, seeds in cases():
+            tr, ref = propagate(g, seeds), ref_propagate(g, seeds)
+            assert tr == ref
+            assert list(tr.forcing_record.items()) == list(ref.forcing_record.items())
+            assert tr.to_json_dict() == ref.to_json_dict()
+            for v in range(g.n):
+                if tr.time_label[v] > 0:
+                    got = _outcome(extract_monotone_trail, g, tr, v)
+                    assert got == _outcome(ref_extract_monotone_trail, g, ref, v), (seeds, v)
+                    if isinstance(got, MonotoneTrail):
+                        for k in range(2, len(got.vertices)):
+                            walk = got.vertices[-k:]
+                            assert is_monotone_trail(g, tr, walk) == ref_is_monotone_trail(
+                                g, ref, walk
+                            )
+            for walk in _random_walks(g, rng, 4):
+                assert _outcome(is_monotone_trail, g, tr, walk) == _outcome(
+                    ref_is_monotone_trail, g, ref, walk
+                ), walk
