@@ -32,7 +32,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .families import (
-    HDeltaSpec,
     gen_complete,
     gen_cycle,
     gen_h_delta,
@@ -46,7 +45,6 @@ from .graph import Graph, parse_graph, write_graph
 from .propagation import (
     UNOBSERVED,
     ObservationTrace,
-    edge_time_label,
     is_pds,
     ppt_of_set,
     propagate,
@@ -72,7 +70,6 @@ __all__ = [
     "GammaResult",
     "Graph",
     "GraphParseError",
-    "HDeltaSpec",
     "InternalConsistencyError",
     "MonotoneTrail",
     "NotPowerDominatingError",
@@ -88,7 +85,6 @@ __all__ = [
     "connected_catalog",
     "connected_graphs",
     "correct_lower_bound",
-    "edge_time_label",
     "extract_monotone_trail",
     "full_catalog",
     "gamma_p",

@@ -284,7 +284,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=DEFAULT_WORK_LIMIT,
         metavar="N",
-        help="solver work cap in propagation runs",
+        help="solver work cap in search nodes",
     )
 
     parser = _Parser(prog="powerdom", description=__doc__.splitlines()[0])

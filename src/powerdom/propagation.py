@@ -135,12 +135,3 @@ def ppt_of_set(g: Graph, s: Iterable[int]) -> int:
         )
     return steps
 
-
-def edge_time_label(trace: ObservationTrace, u: int, v: int) -> int:
-    """Edge label t(uv) = max(t(u), t(v)); both endpoints must be observed."""
-    if v not in trace.graph.neighbors(u):
-        raise ValueError(f"({u},{v}) is not an edge")
-    tu, tv = trace.time_label[u], trace.time_label[v]
-    if tu == UNOBSERVED or tv == UNOBSERVED:
-        raise ValueError(f"edge ({u},{v}) has an unobserved endpoint in this trace")
-    return max(tu, tv)

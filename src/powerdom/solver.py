@@ -1,12 +1,36 @@
 """Exact computation of the power domination number and propagation time.
 
-Candidate sets are enumerated in lexicographic order at each cardinality
-k = 1, 2, ... and tested by running propagation to its fixed point; the
-first cardinality with a hit is gamma_P, and every hit at that cardinality
-is kept as a witness. Exponential in the worst case; a configurable cap on
-work (propagation runs, plus combined witnesses on a disconnected graph)
-turns runaway inputs into SearchBudgetExceeded rather than an approximate
-answer.
+gamma_P is found by branching on forts. A fort is a nonempty set F of
+vertices such that no vertex outside F has exactly one neighbour in F.
+S is a power dominating set (PDS) iff N[S] meets every fort, that is iff
+S meets N[F] for every fort F. If N[S] misses a fort, no observed vertex
+ever has exactly one unobserved neighbour in it, so it is never entered;
+if propagation from S stops at an observed set C other than V, then
+V - C is a fort that N[S] misses.
+
+The search deepens k = 1, 2, ... and keeps a pool of the sets N[F] found
+so far, which stay valid for every k. A node is a pair (S, excluded)
+with |S| <= k, charged one unit of work. If S misses a pooled N[F], the
+node branches on the one with the fewest vertices outside excluded,
+b_1 < ... < b_m: child i adds b_i to S and b_1..b_(i-1) to excluded.
+With one vertex left to add, the children are instead the vertices in
+every missed N[F], since any other child would miss one of them. If S
+misses no pooled set, propagation runs once. A full result at |S| = k is
+a witness. A failed run adds N[V - final] to the pool and S branches on
+it; a run at |S| < k always fails, since a smaller PDS would have ended
+the search at a smaller k.
+
+Every minimum PDS T is reached exactly once. At a node with S inside T
+and excluded disjoint from T, T meets the branch set, since T meets every
+N[F] and avoids excluded. Exactly one child keeps both conditions: the
+one that adds the first b_i in T, because earlier children add a vertex
+outside T and later ones exclude b_i. So T has one path from the root,
+which ends at depth k, where T misses no pooled set and propagation
+confirms it. The hits are thus distinct, and sorted they are the full
+lexicographic witness list. The search is exponential in the worst case;
+a cap on work (one unit per search node, plus one per combined witness on
+a disconnected graph) turns runaway inputs into SearchBudgetExceeded
+rather than an approximate answer.
 
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
@@ -18,9 +42,11 @@ and y < x. Swapping x for y keeps l-round success because N[S] can only
 grow and one forcing round is monotone in the observed set (if A is inside
 B, whatever A forces is in B or forced by B), so every later layer grows
 too; each swap raises (|N[y]|, -y), so repeated swaps end at a
-representative. gamma_p does not prune this way: its witness list must
-hold every minimum power dominating set, including those that use a
-dominated vertex such as a leaf.
+representative. Each candidate set is one search node. An l-round
+failure yields no fort, so this search enumerates subsets. gamma_p does
+not prune by representatives: its witness list must hold every minimum
+power dominating set, including those that use a dominated vertex such
+as a leaf.
 """
 
 from __future__ import annotations
@@ -29,8 +55,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .errors import SearchBudgetExceeded
+from .errors import InternalConsistencyError, SearchBudgetExceeded
 from .graph import Graph
+from .propagation import _bits
 
 DEFAULT_WORK_LIMIT = 10**8
 
@@ -63,42 +90,99 @@ class GammaResult:
 
 
 class _Budget:
-    """Counts work against a cap: one unit per propagation run, and one per
-    witness combined across the components of a disconnected graph."""
+    """Counts work against a cap: one unit per search node, and one per
+    witness combined across the components of a disconnected graph. k is
+    the cardinality the search has reached, for the error message."""
 
-    __slots__ = ("limit", "used")
+    __slots__ = ("limit", "used", "k")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.k = 0
 
     def spend(self, units: int = 1):
         self.used += units
         if self.used > self.limit:
             raise SearchBudgetExceeded(
-                f"work limit of {self.limit} exceeded "
-                "(one unit per propagation run or combined witness)"
+                f"work limit of {self.limit} exceeded: {self.used} units used "
+                f"with the search at k = {self.k} "
+                "(one unit per search node or combined witness)"
             )
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
     core = g.core
     full = g.full_mask
+    adj = g.adjacency_masks
+    # N[F] for each fort F found so far; V is a fort with N[V] = V
+    pool = [full]
+
+    def add_fort(final: int) -> int:
+        """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
+        fort = full & ~final
+        nf = fort
+        while fort:
+            b = fort & -fort
+            nf |= adj[b.bit_length() - 1]
+            fort ^= b
+        pool.append(nf)
+        return nf
+
     for k in range(1, g.n + 1):
-        witnesses = []
-        for combo in combinations(range(g.n), k):
-            start = 0
-            for v in combo:
-                start |= 1 << v
+        budget.k = k
+        hits = []
+        # (S, excluded, k - |S| >= 1, the parent's missed N[F], pool length
+        # it saw); the nodes with one vertex left run their children inline
+        stack = [(0, 0, k, (), 0)]
+        while stack:
+            s, excluded, room, missed, seen = stack.pop()
             budget.spend()
-            final, steps = core.fixed_point(start)
-            if final == full:
-                witnesses.append(PdsSolution(combo, steps))
-        if witnesses:
+            missed = [nf for nf in (*missed, *pool[seen:]) if not nf & s]
+            seen = len(pool)
+            if not missed:
+                final, _ = core.fixed_point(s)
+                if final == full:
+                    raise InternalConsistencyError(
+                        f"a set of {k - room} vertices power dominates, below k = {k}"
+                    )
+                missed = [add_fort(final)]
+                seen += 1
+            if room == 1:
+                # the last vertex must hit every missed N[F] at once
+                branch = ~excluded
+                for nf in missed:
+                    branch &= nf
+                while branch:
+                    b = branch & -branch
+                    branch ^= b
+                    budget.spend()
+                    leaf = s | b
+                    # only forts found by earlier siblings can be missed
+                    for nf in pool[seen:]:
+                        if not nf & leaf:
+                            break
+                    else:
+                        final, steps = core.fixed_point(leaf)
+                        if final == full:
+                            hits.append((tuple(_bits(leaf)), steps))
+                        else:
+                            add_fort(final)
+                continue
+            branch = min((nf & ~excluded for nf in missed), key=int.bit_count)
+            children = []
+            while branch:
+                b = branch & -branch
+                children.append((s | b, excluded, room - 1, missed, seen))
+                excluded |= b
+                branch ^= b
+            stack.extend(reversed(children))
+        if hits:
+            hits.sort()
             return GammaResult(
                 gamma_p=k,
-                witnesses=tuple(witnesses),
-                ppt_graph=min(w.ppt for w in witnesses),
+                witnesses=tuple(PdsSolution(*hit) for hit in hits),
+                ppt_graph=min(steps for _, steps in hits),
             )
     raise AssertionError("S = V(G) always power dominates; unreachable")
 
@@ -114,6 +198,7 @@ def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
 
     partials = [_gamma_connected(g.subgraph(comp), budget) for comp in comps]
     # charge the combined witnesses before building them
+    budget.k = sum(r.gamma_p for r in partials)
     budget.spend(prod(len(r.witnesses) for r in partials))
     witnesses = []
     for choice in product(*(r.witnesses for r in partials)):
@@ -157,6 +242,7 @@ def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
     full = g.full_mask
     reps = _representatives(g)
     for k in range(1, len(reps) + 1):
+        budget.k = k
         for combo in combinations(reps, k):
             start = 0
             for v in combo:

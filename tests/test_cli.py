@@ -321,6 +321,18 @@ _ID_LIST = st.one_of(
 )
 
 
+def _run_quiet(argv, text):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            return main(argv)
+    finally:
+        sys.stdin = saved
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -336,13 +348,20 @@ class TestFuzz:
             argv.append(f"--vertex={vertex}")
         if as_json:
             argv.append("--json")
-        saved = sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                code = main(argv)
-        finally:
-            sys.stdin = saved
-        assert code in (0, 1)
+        assert _run_quiet(argv, text) in (0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_graph_texts(),
+        command=st.sampled_from(["gamma", "ppt", "lround", "bounds", "verify-tree"]),
+        rounds=_ID,
+        as_json=st.booleans(),
+    )
+    def test_graph_commands_exit_0_1_or_2(self, text, command, rounds, as_json):
+        # the small limit makes every example end; running out of it is exit 2
+        argv = [command, "--limit=200", "-"]
+        if command == "lround":
+            argv.append(f"--l={rounds}")
+        if as_json:
+            argv.append("--json")
+        assert _run_quiet(argv, text) in (0, 1, 2)

@@ -25,11 +25,11 @@ from powerdom.families import (
 from powerdom.graph import Graph
 from powerdom.propagation import (
     UNOBSERVED,
-    edge_time_label,
     is_pds,
     ppt_of_set,
     propagate,
 )
+from test_trails import edge_time_label
 
 
 def reference_layers(g, seeds):

@@ -1,6 +1,7 @@
 """Exact solver: gamma_P, all minimum witnesses, ppt(G), l-round numbers."""
 
 import itertools
+from itertools import combinations
 
 import pytest
 
@@ -11,26 +12,62 @@ from powerdom.families import (
     gen_cycle,
     gen_h_delta,
     gen_path,
+    gen_random_connected,
     gen_random_tree,
     gen_spider,
     gen_star,
 )
 from powerdom.graph import Graph
 from powerdom.propagation import is_pds, ppt_of_set, propagate
-from powerdom.solver import gamma_p, l_round_number, ppt_graph
+from powerdom.solver import (
+    GammaResult,
+    PdsSolution,
+    _Budget,
+    gamma_p,
+    l_round_number,
+    ppt_graph,
+)
 
 
 def brute_minimum_sets(g):
-    """All minimum PDSs by plain subset enumeration (smallest k wins)."""
+    """All minimum PDSs by plain subset enumeration (smallest k wins), in
+    lexicographic order."""
     for k in range(1, g.n + 1):
-        found = [
-            frozenset(c)
-            for c in itertools.combinations(range(g.n), k)
-            if is_pds(g, c)
-        ]
+        found = [c for c in itertools.combinations(range(g.n), k) if is_pds(g, c)]
         if found:
             return k, found
     raise AssertionError("unreachable: V(G) always power dominates")
+
+
+def exhaustive_gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
+    """The k-subset solver that the fort search replaced, kept verbatim as
+    a reference for graphs too large for brute_minimum_sets."""
+    core = g.core
+    full = g.full_mask
+    for k in range(1, g.n + 1):
+        witnesses = []
+        for combo in combinations(range(g.n), k):
+            start = 0
+            for v in combo:
+                start |= 1 << v
+            budget.spend()
+            final, steps = core.fixed_point(start)
+            if final == full:
+                witnesses.append(PdsSolution(combo, steps))
+        if witnesses:
+            return GammaResult(
+                gamma_p=k,
+                witnesses=tuple(witnesses),
+                ppt_graph=min(w.ppt for w in witnesses),
+            )
+    raise AssertionError("S = V(G) always power dominates; unreachable")
+
+
+def exhaustive_corpus():
+    yield from (gen_h_delta(delta)[0] for delta in range(3, 13))
+    for seed in range(40):
+        n = 11 + seed % 6
+        yield gen_random_connected(n, n - 1 + (seed * 7) % (n + 1), seed)
 
 
 def brute_l_round_numbers(g, ls):
@@ -114,11 +151,22 @@ class TestWitnessCompleteness:
         k, brute = brute_minimum_sets(g)
         result = gamma_p(g)
         assert result.gamma_p == k
-        assert [set(w.vertices) for w in result.witnesses] == sorted(
-            (set(s) for s in brute), key=sorted
-        )
+        assert [w.vertices for w in result.witnesses] == brute
         for w in result.witnesses:
             assert w.ppt == ppt_of_set(g, w.vertices)
+
+    def test_catalog_witnesses_match_all_subsets_oracle(self, catalog_conn_8):
+        for g in catalog_conn_8:
+            _, brute = brute_minimum_sets(g)
+            expect = tuple((s, ppt_of_set(g, s)) for s in brute)
+            got = tuple((w.vertices, w.ppt) for w in gamma_p(g).witnesses)
+            assert got == expect, f"n={g.n} {g.edges()}"
+
+    def test_matches_exhaustive_solver(self):
+        for g in exhaustive_corpus():
+            assert g.is_connected()
+            expect = exhaustive_gamma_connected(g, _Budget(10**9))
+            assert gamma_p(g) == expect, f"n={g.n} {g.edges()}"
 
     def test_ppt_graph_is_min_over_witnesses(self, random_connected_500):
         for g in random_connected_500[:60]:
@@ -196,6 +244,18 @@ class TestBudget:
         g = Graph(50, [(10 * c + i, 10 * c + (i + 1) % 10) for c in range(5) for i in range(10)])
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(g, work_limit=1000)
+
+    def test_limit_inside_a_cardinality_names_units_and_k(self):
+        # H_9 spends 83 units at k = 1 (the root and one leaf per vertex),
+        # so a limit of 100 stops the fort search partway through k = 2
+        g, _ = gen_h_delta(9)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            gamma_p(g, work_limit=100)
+        message = str(info.value)
+        assert "work limit of 100 exceeded" in message
+        assert "101 units used" in message
+        assert "k = 2" in message
+        assert gamma_p(g, work_limit=10**6).gamma_p == 2
 
     def test_solution_unaffected_by_generous_budget(self):
         g = gen_cycle(6)

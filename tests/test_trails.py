@@ -20,7 +20,6 @@ from powerdom.graph import Graph
 from powerdom.propagation import (
     UNOBSERVED,
     ObservationTrace,
-    edge_time_label,
     is_pds,
     propagate,
 )
@@ -229,6 +228,16 @@ def ref_propagate(g, s):
         forcing_record=record,
         complete=complete,
     )
+
+
+def edge_time_label(trace: ObservationTrace, u: int, v: int) -> int:
+    """Edge label t(uv) = max(t(u), t(v)); both endpoints must be observed."""
+    if v not in trace.graph.neighbors(u):
+        raise ValueError(f"({u},{v}) is not an edge")
+    tu, tv = trace.time_label[u], trace.time_label[v]
+    if tu == UNOBSERVED or tv == UNOBSERVED:
+        raise ValueError(f"edge ({u},{v}) has an unobserved endpoint in this trace")
+    return max(tu, tv)
 
 
 def ref_is_monotone_trail(g, trace, vertices):
