@@ -1,8 +1,9 @@
 """Pure Python propagation engine over bitmask adjacency.
 
-Same contract as the compiled engine in _core.pyx; used as the fallback
-when the extension is not built. Vertex sets are Python ints used as
-bitmasks, so any n is supported.
+Same contract and the same rounds as the compiled engine in _core.c; used
+as the fallback when the extension is not built. Vertex sets are Python
+ints used as bitmasks, so any n is supported. Both engines raise the same
+ValueError for a mask or an adjacency row outside 0 <= x < 1 << n.
 
 Each forcing round after the first scans only the observed vertices in
 N[new], where new is what the previous round added: a vertex outside
@@ -15,6 +16,10 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
+def _range_error(what: str, n: int) -> ValueError:
+    return ValueError(f"{what} out of range: need 0 <= {what} < 1 << n with n = {n}")
+
+
 class PropagationCore:
     """Observation process runner bound to one graph's adjacency masks."""
 
@@ -23,7 +28,13 @@ class PropagationCore:
     __slots__ = ("_adj", "_n")
 
     def __init__(self, adj_masks: Sequence[int], n: int):
-        self._adj = list(adj_masks)
+        adj = list(adj_masks)
+        if len(adj) != n:
+            raise ValueError(f"adj_masks has {len(adj)} rows, expected n = {n}")
+        for row in adj:
+            if row < 0 or row >> n:
+                raise _range_error("adj_masks row", n)
+        self._adj = adj
         self._n = n
 
     def _closed_nbhd(self, m: int) -> int:
@@ -60,6 +71,8 @@ class PropagationCore:
 
     def fixed_point(self, start: int) -> tuple[int, int]:
         """Run to the fixed point; return (final mask, least l with S[l+1] == S[l])."""
+        if start < 0 or start >> self._n:
+            raise _range_error("mask", self._n)
         cur, steps = start, 0
         for steps, cur in enumerate(self._rounds(start), 1):
             pass
@@ -67,4 +80,6 @@ class PropagationCore:
 
     def layer_masks(self, start: int) -> list[int]:
         """All distinct layers S[0], S[1], ... up to the fixed point."""
+        if start < 0 or start >> self._n:
+            raise _range_error("mask", self._n)
         return [start, *self._rounds(start)]

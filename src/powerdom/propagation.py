@@ -128,10 +128,11 @@ def is_pds(g: Graph, s: Iterable[int]) -> bool:
 
 def ppt_of_set(g: Graph, s: Iterable[int]) -> int:
     """Power propagation time of S: least l with S[l] = V(G)."""
-    final, steps = g.core.fixed_point(_as_mask(g, s))
+    mask = _as_mask(g, s)
+    final, steps = g.core.fixed_point(mask)
     if final != g.full_mask:
         raise NotPowerDominatingError(
-            f"set {sorted(set(s))} does not power dominate the graph"
+            f"set {_bits(mask)} does not power dominate the graph"
         )
     return steps
 

@@ -267,6 +267,11 @@ class TestPptOfSet:
         with pytest.raises(NotPowerDominatingError):
             ppt_of_set(gen_star(3), {1})
 
+    def test_non_pds_message_names_iterator_input(self):
+        # the seeds are read once, so the message must come from the mask
+        with pytest.raises(NotPowerDominatingError, match=r"set \[1\] does not"):
+            ppt_of_set(gen_star(4), iter([1]))
+
     def test_is_pds_examples(self):
         assert is_pds(gen_path(5), {2})
         g, _ = gen_h_delta(9)
