@@ -5,7 +5,8 @@
    N[new], where new is what the round before added (the _pycore docstring
    gives the argument). Vertex sets cross the boundary as Python ints, through
    int.to_bytes / int.from_bytes in little-endian order; a set that fits in
-   one 64-bit word goes through PyLong_AsUnsignedLongLong instead. Only the
+   one 64-bit word goes through PyLong_AsUnsignedLongLong instead, which skips
+   the bytes object and about halves the call time when n <= 64. Only the
    public CPython API is used. */
 
 #define PY_SSIZE_T_CLEAN
