@@ -1,10 +1,27 @@
 """Isomorphism-free catalogs of small graphs.
 
-Graphs on n vertices are generated by extending every catalogued graph on
-n-1 vertices with a new vertex attached to each possible neighborhood,
-deduplicated by a canonical certificate. Intended for n <= 8, where the
-known counts are 1, 2, 4, 11, 34, 156, 1044, 12346 graphs (of which
-1, 1, 2, 6, 21, 112, 853, 11117 are connected); the test suite pins these.
+Graphs on n vertices are generated from the catalog on n-1 vertices by
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998). Each parent P is extended by a new vertex v
+attached to every possible neighbourhood, and the child C = P + v is kept
+only if v is the canonical vertex to delete from C: v must have the
+largest degree in C, then among the vertices tied with it the largest
+sorted list of neighbour degrees, then among those still tied the least
+certificate of C - t (C - v is P itself). The accepted children of one
+parent are deduplicated by their own certificates. The rule is exact:
+
+- completeness: for any graph C, take the t* that ranks first (largest
+  degree, then neighbour degrees, then least cert(C - t*)); C - t* is
+  isomorphic to a catalogued parent P, and P extended by the image of
+  N(t*) is accepted and isomorphic to C;
+- uniqueness: if accepted children P1 + v1 and P2 + v2 are isomorphic by
+  f, then f(v1) and v2 both rank first in P2 + v2, so equal least
+  certificates give P1 = (P1 + v1) - v1 ~ (P2 + v2) - f(v1) ~ P2: the
+  same catalogued parent, whose per-parent dedupe removes the copy.
+
+Sizes are capped at MAX_CATALOG_N; the known counts for n <= 8 are
+1, 2, 4, 11, 34, 156, 1044, 12346 graphs (of which 1, 1, 2, 6, 21, 112,
+853, 11117 are connected), and the test suite pins these.
 
 The certificate is a minimum adjacency code over all vertex orderings
 sorted by refined color, searched with prefix pruning and a twin skip
@@ -106,33 +123,93 @@ def _graph_from_masks(n: int, masks: list) -> Graph:
     return Graph(n, edges)
 
 
+def _delete_vertex(masks: list, t: int) -> list:
+    """Masks of the graph with vertex t removed and the later vertices shifted down."""
+    low = (1 << t) - 1
+    return [(m & low) | ((m >> (t + 1)) << t) for u, m in enumerate(masks) if u != t]
+
+
+def _canonical_children(parent: Graph) -> list:
+    """Masks of the children of parent whose new vertex is the canonical one to delete.
+
+    One child per isomorphism class; see the module docstring.
+    """
+    pm = list(parent.adjacency_masks)
+    v = len(pm)
+    n = v + 1
+    hi = 1 << v
+    deg = [m.bit_count() for m in pm]
+    top = max(deg)
+    # at[d]: the parent vertices of degree d
+    at = [0] * n
+    for u, d in enumerate(deg):
+        at[d] |= 1 << u
+    parent_cert = None
+    seen = set()
+    out = []
+    for sub in range(1 << v):
+        k = sub.bit_count()
+        # a parent vertex of degree > k, or of degree k gaining v, outranks v
+        if k < top or sub & at[k]:
+            continue
+        tied = at[k] & ~sub
+        if k:
+            tied |= sub & at[k - 1]
+        masks = pm + [sub]
+        for u in _bit_vertices(sub):
+            masks[u] |= hi
+        if tied:
+            cdeg = [m.bit_count() for m in masks]
+            key = sorted(cdeg[u] for u in _bit_vertices(sub))
+            rivals = []
+            outranked = False
+            for t in _bit_vertices(tied):
+                tkey = sorted(cdeg[u] for u in _bit_vertices(masks[t]))
+                if tkey > key:
+                    outranked = True
+                    break
+                # deleting a twin of v leaves a copy of P, so the twin cannot beat v
+                if tkey == key and not _interchangeable(masks, t, v):
+                    rivals.append(t)
+            if outranked:
+                continue
+            if rivals:
+                if parent_cert is None:
+                    parent_cert = certificate(v, pm)
+                if any(certificate(v, _delete_vertex(masks, t)) < parent_cert for t in rivals):
+                    continue
+        cert = certificate(n, masks)
+        if cert not in seen:
+            seen.add(cert)
+            out.append(masks)
+    return out
+
+
+# n = 9 has 274,668 classes; n = 10 has about 12 million and would run for hours
+MAX_CATALOG_N = 9
+
 _ALL: dict[int, list] = {}
 
 
 def nonisomorphic_graphs(n: int) -> list:
-    """All graphs on exactly n vertices, one representative per isomorphism class."""
+    """All graphs on exactly n vertices, one representative per isomorphism class.
+
+    Returns a new list on every call; the graphs themselves are shared.
+    """
     if n < 1:
         raise ValueError(f"catalog needs n >= 1, got {n}")
-    if n in _ALL:
-        return _ALL[n]
-    if n == 1:
-        out = [Graph(1)]
-    else:
-        reps: dict[tuple, list] = {}
-        hi = 1 << (n - 1)
-        for g in nonisomorphic_graphs(n - 1):
-            base = list(g.adjacency_masks) + [0]
-            for sub in range(hi):
-                masks = base.copy()
-                masks[n - 1] = sub
-                for v in _bit_vertices(sub):
-                    masks[v] |= hi
-                cert = certificate(n, masks)
-                if cert not in reps:
-                    reps[cert] = masks
-        out = [_graph_from_masks(n, masks) for masks in reps.values()]
-    _ALL[n] = out
-    return out
+    if n > MAX_CATALOG_N:
+        raise ValueError(f"catalog is capped at n <= {MAX_CATALOG_N}, got {n}")
+    if n not in _ALL:
+        if n == 1:
+            _ALL[1] = [Graph(1)]
+        else:
+            _ALL[n] = [
+                _graph_from_masks(n, masks)
+                for g in nonisomorphic_graphs(n - 1)
+                for masks in _canonical_children(g)
+            ]
+    return list(_ALL[n])
 
 
 def connected_graphs(n: int) -> list:

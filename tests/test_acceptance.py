@@ -4,7 +4,8 @@ The two arithmetic checks pin the counterexample family exactly. The six
 property checks sweep the isomorphism catalogs and the seeded random
 corpora; where an oracle is needed it is implemented here from the
 definitions (plain set arithmetic, all-subsets search) so it shares no
-code with the solver under test.
+code with the solver under test. The last check sets the catalog
+generator against every labelled graph, sharing only the certificate.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from powerdom.bounds import bounds_report, tree_lower_bound
+from powerdom.catalog import canonical_certificate, certificate, nonisomorphic_graphs
 from powerdom.cli import counterexample_demo
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.propagation import ppt_of_set, propagate
@@ -82,6 +84,20 @@ def oracle_domination(g):
     raise AssertionError("V itself always dominates")
 
 
+def oracle_certificates(n):
+    """The certificate of every labelled graph on n vertices, as a set."""
+    pairs = list(itertools.combinations(range(n), 2))
+    certs = set()
+    for edge_set in range(1 << len(pairs)):
+        masks = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if edge_set >> i & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        certs.add(certificate(n, masks))
+    return certs
+
+
 # ---------------------------------------------------------------- corpora
 
 @pytest.fixture(scope="module")
@@ -97,7 +113,7 @@ def solved_random(random_connected_500):
 # ------------------------------------------------------------ the checks
 
 def test_counterexample_numbers(capsys):
-    with verdict(capsys, "[1/8] counterexample arithmetic at delta=9"):
+    with verdict(capsys, "[1/9] counterexample arithmetic at delta=9"):
         t0 = time.perf_counter()
         g, _ = gen_h_delta(9)
         rep = bounds_report(g)
@@ -112,7 +128,7 @@ def test_counterexample_numbers(capsys):
 
 
 def test_threshold_sweep(capsys):
-    with verdict(capsys, "[2/8] refutation threshold over delta 3..16"):
+    with verdict(capsys, "[2/9] refutation threshold over delta 3..16"):
         t0 = time.perf_counter()
         rows = counterexample_demo(3, 16)
         elapsed = time.perf_counter() - t0
@@ -127,7 +143,7 @@ def test_threshold_sweep(capsys):
 
 
 def test_gamma_lower_bound_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[3/8] gamma_p >= ceil(n/(ppt*maxdeg+1)) on the corpus"):
+    with verdict(capsys, "[3/9] gamma_p >= ceil(n/(ppt*maxdeg+1)) on the corpus"):
         assert len(solved_random) >= 500
         for g, res in solved_catalog + solved_random:
             bound = ceil_div(g.n, res.ppt_graph * g.max_degree() + 1)
@@ -135,7 +151,7 @@ def test_gamma_lower_bound_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_ppt_lower_bound_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[4/8] ppt >= ceil((n-gamma_p)/(gamma_p*maxdeg)) on the corpus"):
+    with verdict(capsys, "[4/9] ppt >= ceil((n-gamma_p)/(gamma_p*maxdeg)) on the corpus"):
         equality_seen = False
         for g, res in solved_catalog + solved_random:
             if g.n == 1:
@@ -151,7 +167,7 @@ def test_ppt_lower_bound_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_trail_extraction_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[5/8] monotone trail extraction over >= 300 triples"):
+    with verdict(capsys, "[5/9] monotone trail extraction over >= 300 triples"):
         triples = 0
         for g, res in solved_catalog + solved_random:
             if g.n < 3:
@@ -177,7 +193,7 @@ def test_trail_extraction_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_tree_certificate_sweep(random_trees_200, capsys):
-    with verdict(capsys, "[6/8] tree certificates over 200 random trees"):
+    with verdict(capsys, "[6/9] tree certificates over 200 random trees"):
         assert len(random_trees_200) >= 200
         for t in random_trees_200:
             cert = verify_tree_diameter_bound(t)
@@ -198,7 +214,7 @@ def test_tree_certificate_sweep(random_trees_200, capsys):
 
 
 def test_exact_solver_vs_oracles(solved_catalog, capsys):
-    with verdict(capsys, "[7/8] solver equals all-subsets oracles on connected n <= 8"):
+    with verdict(capsys, "[7/9] solver equals all-subsets oracles on connected n <= 8"):
         for g, res in solved_catalog:
             assert res.gamma_p == oracle_gamma(g), f"n={g.n} {sorted(g.edges())}"
             assert l_round_number(g, 1) == oracle_domination(g), (
@@ -207,7 +223,7 @@ def test_exact_solver_vs_oracles(solved_catalog, capsys):
 
 
 def test_process_invariants_sweep(catalog_all_8, capsys):
-    with verdict(capsys, "[8/8] layer invariants for every PDS of every n <= 8 graph"):
+    with verdict(capsys, "[8/9] layer invariants for every PDS of every n <= 8 graph"):
         checked = 0
         for g in catalog_all_8:
             core = g.core
@@ -236,3 +252,14 @@ def test_process_invariants_sweep(catalog_all_8, capsys):
                     trace = propagate(g, seed)
                     assert trace.complete and trace.steps == steps
         assert checked > 0
+
+
+def test_catalog_vs_labelled_graphs(catalog_all_8, capsys):
+    with verdict(capsys, "[9/9] catalog classes equal all labelled graphs' (n <= 6)"):
+        for n in range(1, 7):
+            got = [canonical_certificate(g) for g in nonisomorphic_graphs(n)]
+            assert set(got) == oracle_certificates(n), f"n={n}"
+        # with the pinned counts, distinct certificates mean no class repeats
+        certs = [canonical_certificate(g) for g in catalog_all_8]
+        assert sum(g.n == 8 for g in catalog_all_8) == 12346
+        assert len(set(certs)) == len(certs)

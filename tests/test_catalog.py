@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from powerdom import catalog
 from powerdom.catalog import (
+    MAX_CATALOG_N,
+    _delete_vertex,
     canonical_certificate,
     connected_graphs,
     nonisomorphic_graphs,
@@ -39,12 +42,27 @@ class TestCounts:
         with pytest.raises(ValueError):
             nonisomorphic_graphs(0)
 
+    def test_rejects_n_above_cap_before_generating(self):
+        cached = set(catalog._ALL)
+        with pytest.raises(ValueError, match=f"n <= {MAX_CATALOG_N}"):
+            nonisomorphic_graphs(MAX_CATALOG_N + 1)
+        assert MAX_CATALOG_N + 1 not in catalog._ALL
+        assert set(catalog._ALL) == cached
+
+    def test_returned_list_does_not_alias_the_cache(self):
+        first = nonisomorphic_graphs(5)
+        first.append(Graph(5))
+        first.sort(key=lambda g: -g.edge_count)
+        del first[:10]
+        assert len(nonisomorphic_graphs(5)) == ALL_COUNTS[5]
+        assert len(connected_graphs(5)) == CONNECTED_COUNTS[5]
+
 
 class TestCertificate:
     def test_invariant_under_relabeling(self):
         rng = random.Random(5)
-        for trial in range(40):
-            n = rng.randrange(2, 8)
+        for trial in range(63):
+            n = 2 + trial % 9
             edges = [
                 (u, v)
                 for u in range(n)
@@ -76,6 +94,21 @@ class TestCertificate:
         g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         perm = [3, 4, 5, 0, 1, 2]
         assert canonical_certificate(g) == canonical_certificate(permuted(g, perm))
+
+
+class TestDeleteVertex:
+    def test_matches_induced_subgraph(self):
+        rng = random.Random(11)
+        for n in range(2, 11):
+            for _ in range(6):
+                g = Graph(
+                    n,
+                    [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5],
+                )
+                masks = list(g.adjacency_masks)
+                for t in range(n):
+                    rest = [v for v in range(n) if v != t]
+                    assert _delete_vertex(masks, t) == list(g.subgraph(rest).adjacency_masks)
 
 
 class TestMembership:
