@@ -125,17 +125,31 @@ class Graph:
         return all(d >= 0 for d in self.bfs_distances(0))
 
     def diameter(self) -> int:
-        """Maximum shortest-path distance, by BFS from every vertex."""
+        """Maximum shortest-path distance: the least radius at which every
+        ball is all of V."""
         if self.n == 0:
             raise ValueError("diameter of the empty graph is undefined")
-        best = 0
-        for v in range(self.n):
-            dist = self.bfs_distances(v)
-            far = max(dist)
-            if min(dist) < 0:
-                raise DisconnectedGraphError("diameter is undefined on a disconnected graph")
-            best = max(best, far)
-        return best
+        full = self.full_mask
+        for radius, balls in enumerate(self._grow_balls()):
+            if all(ball == full for ball in balls):
+                return radius
+        raise DisconnectedGraphError("diameter is undefined on a disconnected graph")
+
+    def _grow_balls(self) -> Iterator[list[int]]:
+        """Masks of the radius-r balls around every vertex, for r = 0, 1, ...
+        until they stop growing."""
+        neighbors = [tuple(s) for s in self._adj]
+        balls = [1 << v for v in range(self.n)]
+        while True:
+            yield balls
+            grown = []
+            for v, ball in enumerate(balls):
+                for w in neighbors[v]:
+                    ball |= balls[w]
+                grown.append(ball)
+            if grown == balls:
+                return
+            balls = grown
 
     def is_tree(self) -> bool:
         if self.n == 0:

@@ -36,23 +36,40 @@ Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
 a combined witness is the max over its parts.
 
-The l-round search tests only sets of representatives: vertex x is
-skipped when some neighbour y has N[x] strictly inside N[y], or N[x] = N[y]
-and y < x. Swapping x for y keeps l-round success because N[S] can only
-grow and one forcing round is monotone in the observed set (if A is inside
-B, whatever A forces is in B or forced by B), so every later layer grows
-too; each swap raises (|N[y]|, -y), so repeated swaps end at a
-representative. Each candidate set is one search node. An l-round
-failure yields no fort, so this search enumerates subsets. gamma_p does
-not prune by representatives: its witness list must hold every minimum
-power dominating set, including those that use a dominated vertex such
-as a leaf.
+The l-round number uses the same search, changed in four ways.
+(1) Its S are sets of representatives: vertex x is skipped when some
+neighbour y has N[x] strictly inside N[y], or N[x] = N[y] and y < x.
+Swapping x for y keeps l-round success because N[S] can only grow and one
+forcing round is monotone in the observed set (if A is inside B, whatever
+A forces is in B or forced by B), so every later layer grows too; each
+swap raises (|N[y]|, -y), so repeated swaps end at a representative, and
+some minimum l-round PDS T is made of representatives. Every pooled set
+is cut down to the representatives; T meets the cut set wherever it meets
+the whole, so the argument above holds for T with S and excluded inside
+the representatives. (2) The pool starts with the ball B_l(u) of radius l
+around every vertex u: layer l of T is V and lies inside the radius-l
+ball around T, so u is within distance l of T and T meets B_l(u). For
+l = 1 these are the sets N[u], and the search is exact dominating-set
+branching. A run that stops short of V still pools N[V - final], since
+T is a PDS.
+(3) A run that reaches V in more than l steps leaves no fort. T then has
+a vertex outside S, for S is not an l-round PDS, so the node branches on
+the representatives outside S and excluded, which T meets; T is still
+reached exactly once. A run within l steps at |S| < k cannot happen: S
+would be an l-round PDS of |S| representatives, which the search at
+k = |S| reaches. (4) The first hit ends the search; by the above no
+smaller set of representatives succeeds, so k is the l-round number.
+gamma_p runs the same search over all of V with pool [V], no binding
+step limit, and every hit collected. It does not prune by
+representatives: its witness list must hold every minimum power
+dominating set, including those that use a dominated vertex such as a
+leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import islice, product
 from math import prod
 
 from .errors import InternalConsistencyError, SearchBudgetExceeded
@@ -111,12 +128,17 @@ class _Budget:
             )
 
 
-def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
+def _branch_search(
+    g: Graph, budget: _Budget, pool: list[int], allowed: int, l: int, first_only: bool
+) -> tuple[int, list[tuple[tuple, int]]]:
+    """The least k at which some S inside allowed, |S| = k, reaches V within
+    l steps, with the hits (S as a vertex tuple, steps) at that k: the first
+    one if first_only, else all. pool holds sets inside allowed that every
+    such S meets; the search appends N[V - final] & allowed for each failed
+    run."""
     core = g.core
     full = g.full_mask
     adj = g.adjacency_masks
-    # N[F] for each fort F found so far; V is a fort with N[V] = V
-    pool = [full]
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
@@ -126,13 +148,14 @@ def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
             b = fort & -fort
             nf |= adj[b.bit_length() - 1]
             fort ^= b
+        nf &= allowed
         pool.append(nf)
         return nf
 
-    for k in range(1, g.n + 1):
+    for k in range(1, allowed.bit_count() + 1):
         budget.k = k
         hits = []
-        # (S, excluded, k - |S| >= 1, the parent's missed N[F], pool length
+        # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
         # it saw); the nodes with one vertex left run their children inline
         stack = [(0, 0, k, (), 0)]
         while stack:
@@ -141,15 +164,19 @@ def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
             missed = [nf for nf in (*missed, *pool[seen:]) if not nf & s]
             seen = len(pool)
             if not missed:
-                final, _ = core.fixed_point(s)
-                if final == full:
+                final, steps = core.fixed_point(s)
+                if final != full:
+                    missed = [add_fort(final)]
+                    seen += 1
+                elif steps <= l:
                     raise InternalConsistencyError(
-                        f"a set of {k - room} vertices power dominates, below k = {k}"
+                        f"a set of {k - room} vertices succeeds, below k = {k}"
                     )
-                missed = [add_fort(final)]
-                seen += 1
+                else:
+                    # too slow, and no fort: a hit adds an allowed vertex outside S
+                    missed = [allowed & ~s]
             if room == 1:
-                # the last vertex must hit every missed N[F] at once
+                # the last vertex must hit every missed set at once
                 branch = ~excluded
                 for nf in missed:
                     branch &= nf
@@ -164,10 +191,12 @@ def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
                             break
                     else:
                         final, steps = core.fixed_point(leaf)
-                        if final == full:
-                            hits.append((tuple(_bits(leaf)), steps))
-                        else:
+                        if final != full:
                             add_fort(final)
+                        elif steps <= l:
+                            hits.append((tuple(_bits(leaf)), steps))
+                            if first_only:
+                                return k, hits
                 continue
             branch = min((nf & ~excluded for nf in missed), key=int.bit_count)
             children = []
@@ -178,13 +207,19 @@ def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
                 branch ^= b
             stack.extend(reversed(children))
         if hits:
-            hits.sort()
-            return GammaResult(
-                gamma_p=k,
-                witnesses=tuple(PdsSolution(*hit) for hit in hits),
-                ppt_graph=min(steps for _, steps in hits),
-            )
-    raise AssertionError("S = V(G) always power dominates; unreachable")
+            return k, hits
+    raise AssertionError("allowed always succeeds as a whole; unreachable")
+
+
+def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
+    # V is a fort with N[V] = V, and no run takes more than n steps
+    k, hits = _branch_search(g, budget, [g.full_mask], g.full_mask, g.n, False)
+    hits.sort()
+    return GammaResult(
+        gamma_p=k,
+        witnesses=tuple(PdsSolution(*hit) for hit in hits),
+        ppt_graph=min(steps for _, steps in hits),
+    )
 
 
 def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
@@ -221,37 +256,29 @@ def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     return gamma_p(g, work_limit=work_limit).ppt_graph
 
 
-def _representatives(g: Graph) -> list[int]:
-    """Vertices x with no neighbour y such that N[x] is strictly inside N[y],
-    or N[x] = N[y] and y < x. Only neighbours need checking: N[x] inside N[y]
-    puts x in N[y], so y is in N[x]."""
+def _representatives(g: Graph) -> int:
+    """Mask of the vertices x with no neighbour y such that N[x] is strictly
+    inside N[y], or N[x] = N[y] and y < x. Only neighbours need checking:
+    N[x] inside N[y] puts x in N[y], so y is in N[x]."""
     closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
-    reps = []
+    reps = 0
     for x, cx in enumerate(closed):
         for y in g.neighbors(x):
             cy = closed[y]
             if cx & cy == cx and (cy != cx or y < x):
                 break
         else:
-            reps.append(x)
+            reps |= 1 << x
     return reps
 
 
 def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
-    core = g.core
-    full = g.full_mask
     reps = _representatives(g)
-    for k in range(1, len(reps) + 1):
-        budget.k = k
-        for combo in combinations(reps, k):
-            start = 0
-            for v in combo:
-                start |= 1 << v
-            budget.spend()
-            final, steps = core.fixed_point(start)
-            if final == full and steps <= l:
-                return k
-    raise AssertionError("the representatives dominate G in one round; unreachable")
+    # growth stops at its fixed point, so a huge l costs no more than l = n
+    for balls in islice(g._grow_balls(), l + 1):
+        pass
+    pool = list(dict.fromkeys(ball & reps for ball in balls))
+    return _branch_search(g, budget, pool, reps, l, True)[0]
 
 
 def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> int:

@@ -106,6 +106,10 @@ class TestLround:
         code, out, _ = run(capsys, "lround", "--l", "3", p4_file, "--json")
         assert json.loads(out) == {"l": 3, "l_round_number": 1}
 
+    def test_huge_l(self, capsys, p4_file):
+        code, out, _ = run(capsys, "lround", "--l", "1000000000", p4_file)
+        assert code == 0 and "= 1" in out
+
 
 class TestBounds:
     def test_h9_json(self, capsys, h9_file):

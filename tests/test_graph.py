@@ -154,6 +154,18 @@ class TestQueries:
         with pytest.raises(DisconnectedGraphError):
             Graph(4, [(0, 1), (2, 3)]).diameter()
 
+    def test_diameter_matches_bfs(self, catalog_all_8, random_connected_500):
+        def bfs_diameter(g):
+            return max(max(g.bfs_distances(v)) for v in range(g.n))
+
+        hdelta = [gen_h_delta(delta)[0] for delta in range(3, 17)]
+        for g in catalog_all_8 + random_connected_500 + hdelta:
+            if g.is_connected():
+                assert g.diameter() == bfs_diameter(g), g.edges()
+            else:
+                with pytest.raises(DisconnectedGraphError):
+                    g.diameter()
+
     def test_is_connected(self):
         assert gen_path(3).is_connected()
         assert not Graph(4, [(0, 1), (2, 3)]).is_connected()

@@ -1,6 +1,7 @@
 """Exact solver: gamma_P, all minimum witnesses, ppt(G), l-round numbers."""
 
 import itertools
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from powerdom.solver import (
     GammaResult,
     PdsSolution,
     _Budget,
+    _l_round_connected,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -68,6 +70,80 @@ def exhaustive_corpus():
     for seed in range(40):
         n = 11 + seed % 6
         yield gen_random_connected(n, n - 1 + (seed * 7) % (n + 1), seed)
+
+
+def exhaustive_representatives(g: Graph) -> list[int]:
+    """Vertices x with no neighbour y such that N[x] is strictly inside N[y],
+    or N[x] = N[y] and y < x. Only neighbours need checking: N[x] inside N[y]
+    puts x in N[y], so y is in N[x]."""
+    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
+    reps = []
+    for x, cx in enumerate(closed):
+        for y in g.neighbors(x):
+            cy = closed[y]
+            if cx & cy == cx and (cy != cx or y < x):
+                break
+        else:
+            reps.append(x)
+    return reps
+
+
+def exhaustive_l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
+    """The k-subset l-round search over representatives that the branching
+    search replaced, kept verbatim as a reference."""
+    core = g.core
+    full = g.full_mask
+    reps = exhaustive_representatives(g)
+    for k in range(1, len(reps) + 1):
+        budget.k = k
+        for combo in combinations(reps, k):
+            start = 0
+            for v in combo:
+                start |= 1 << v
+            budget.spend()
+            final, steps = core.fixed_point(start)
+            if final == full and steps <= l:
+                return k
+    raise AssertionError("the representatives dominate G in one round; unreachable")
+
+
+def l_round_differential_corpus():
+    for seed in range(36):
+        n = 11 + seed % 6
+        yield gen_random_connected(n, n - 1 + (seed * 5) % (n + 1), 1000 + seed)
+        yield gen_random_tree(n, 2000 + seed)
+
+
+def tree_domination_number(t: Graph) -> int:
+    """Domination number of a tree by the linear-time labelling algorithm of
+    Cockayne, Goodman & Hedetniemi (Inf. Process. Lett. 4, 1975). Vertices
+    are removed leaves first. A removed vertex that still needs a dominator
+    makes its parent required; a required vertex joins the set and frees a
+    parent that still needed one."""
+    bound, free, required = 0, 1, 2
+    parent = [-1] * t.n
+    order = [0]
+    queue = deque([0])
+    seen = {0}
+    while queue:
+        u = queue.popleft()
+        for w in sorted(t.neighbors(u)):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                order.append(w)
+                queue.append(w)
+    label = [bound] * t.n
+    size = 0
+    for v in reversed(order[1:]):
+        u = parent[v]
+        if label[v] == bound:
+            label[u] = required
+        elif label[v] == required:
+            size += 1
+            if label[u] == bound:
+                label[u] = free
+    return size + (label[0] != free)
 
 
 def brute_l_round_numbers(g, ls):
@@ -223,6 +299,35 @@ class TestLRound:
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert l_round_number(g, 1) == 2
 
+    def test_matches_subset_search(self):
+        # the branching search against the k-subset search it replaced
+        for g in l_round_differential_corpus():
+            assert g.is_connected()
+            for l in (1, 2, 3, 4):
+                expect = exhaustive_l_round_connected(g, l, _Budget(10**9))
+                assert l_round_number(g, l) == expect, f"l={l} n={g.n} {g.edges()}"
+
+    def test_tree_oracle_checked_on_small_trees(self):
+        for seed in range(40):
+            t = gen_random_tree(3 + seed % 8, 3000 + seed)
+            assert tree_domination_number(t) == brute_l_round_numbers(t, (1,))[1]
+
+    def test_l1_on_large_trees_matches_tree_oracle(self):
+        # n = 40-80 is far beyond any subset search
+        for seed in range(21):
+            t = gen_random_tree(40 + 2 * seed, 4000 + seed)
+            assert l_round_number(t, 1) == tree_domination_number(t), t.edges()
+
+    def test_huge_l_is_gamma_p(self):
+        # ball growth stops at its fixed point, so l = 10**9 does the same
+        # work as l = n
+        for g in [gen_h_delta(delta)[0] for delta in (3, 9, 12)] + [gen_random_tree(30, 7)]:
+            huge, bounded = _Budget(10**6), _Budget(10**6)
+            assert _l_round_connected(g, 10**9, huge) == gamma_p(g).gamma_p
+            _l_round_connected(g, g.n, bounded)
+            assert huge.used == bounded.used
+            assert l_round_number(g, 10**9) == gamma_p(g).gamma_p
+
     def test_matches_all_subsets_oracle(self):
         # the search skips dominated vertices, so compare every l with a
         # search over all subsets; twins and leaves are the risky cases
@@ -256,6 +361,17 @@ class TestBudget:
         assert "101 units used" in message
         assert "k = 2" in message
         assert gamma_p(g, work_limit=10**6).gamma_p == 2
+
+    def test_l_round_limit_names_units_and_k(self):
+        # C_12 at l = 1 spends 15 units up to k = 3 and 30 by k = 4
+        g = gen_cycle(12)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            l_round_number(g, 1, work_limit=20)
+        message = str(info.value)
+        assert "work limit of 20 exceeded" in message
+        assert "21 units used" in message
+        assert "k = 4" in message
+        assert l_round_number(g, 1, work_limit=30) == 4
 
     def test_solution_unaffected_by_generous_budget(self):
         g = gen_cycle(6)
