@@ -31,22 +31,15 @@ degenerate symmetric cases like complete and empty graphs cheap.
 
 from __future__ import annotations
 
-from .graph import Graph
-
-
-def _bit_vertices(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+from .graph import Graph, _bits
 
 
 def _refined_colors(n: int, masks: list) -> list:
     """Iterated neighbor-multiset color refinement; colors are canonical ints."""
-    colors = [bin(m).count("1") for m in masks]
+    colors = [m.bit_count() for m in masks]
     for _ in range(n):
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in _bit_vertices(masks[v]))))
+            (colors[v], tuple(sorted(colors[u] for u in _bits(masks[v]))))
             for v in range(n)
         ]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -119,7 +112,7 @@ def canonical_certificate(g: Graph) -> tuple:
 
 
 def _graph_from_masks(n: int, masks: list) -> Graph:
-    edges = [(u, v) for u in range(n) for v in _bit_vertices(masks[u]) if u < v]
+    edges = [(u, v) for u in range(n) for v in _bits(masks[u]) if u < v]
     return Graph(n, edges)
 
 
@@ -156,15 +149,15 @@ def _canonical_children(parent: Graph) -> list:
         if k:
             tied |= sub & at[k - 1]
         masks = pm + [sub]
-        for u in _bit_vertices(sub):
+        for u in _bits(sub):
             masks[u] |= hi
         if tied:
             cdeg = [m.bit_count() for m in masks]
-            key = sorted(cdeg[u] for u in _bit_vertices(sub))
+            key = sorted(cdeg[u] for u in _bits(sub))
             rivals = []
             outranked = False
-            for t in _bit_vertices(tied):
-                tkey = sorted(cdeg[u] for u in _bit_vertices(masks[t]))
+            for t in _bits(tied):
+                tkey = sorted(cdeg[u] for u in _bits(masks[t]))
                 if tkey > key:
                     outranked = True
                     break

@@ -1,8 +1,13 @@
 """Simple undirected graphs on vertex IDs 0..n-1, plus the text file format.
 
-The adjacency structure is immutable after construction and is kept both as
-frozensets (for readable queries) and as integer bitmasks (for the
-propagation engine). All structural queries here are pure.
+A graph stores its adjacency once, as one integer bitmask row per vertex:
+bit w of row v is set iff vw is an edge. This module owns that format.
+The propagation engines, the solver, the catalog and the trail checker
+read the rows through adjacency_masks and pass vertex sets around as
+masks; _bits lists the vertices of a mask. Degrees are bit counts,
+edges() reads the bits above each row's own vertex, and components grow
+a mask frontier, so no query keeps a per-vertex set. The rows are
+immutable after construction and every query here is pure.
 
 File format: first non-comment line is "n m", followed by exactly m
 non-comment lines "u v" (0 <= u,v < n, u != v). Lines starting with '#'
@@ -11,7 +16,6 @@ are comments, blank lines are ignored.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedGraphError, GraphParseError
@@ -37,43 +41,54 @@ def check_edge_count(m: int) -> None:
         raise ValueError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
 class Graph:
     """A simple undirected graph over vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_masks", "_core")
+    __slots__ = ("n", "_masks", "_core")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         check_vertex_count(n)
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(sum(1 << v for v in s) for s in self._adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._masks = tuple(masks)
         self._core: PropagationCore | None = None
 
     # -- structure -----------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
+        return frozenset(_bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs in lexicographic order."""
-        return sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
+        return [
+            (u, v) for u, row in enumerate(self._masks) for v in _bits(row >> (u + 1) << (u + 1))
+        ]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(row.bit_count() for row in self._masks) // 2
 
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -91,7 +106,7 @@ class Graph:
         return self._core
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
         return hash((self.n, self._masks))
@@ -104,25 +119,24 @@ class Graph:
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree of the empty graph is undefined")
-        return max(len(s) for s in self._adj)
+        return max(row.bit_count() for row in self._masks)
 
-    def bfs_distances(self, source: int) -> list[int]:
-        """Distances from source; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+    def _component(self, v: int) -> int:
+        """Mask of v's component, grown by one frontier of new vertices at a time."""
+        masks = self._masks
+        comp = frontier = 1 << v
+        while frontier:
+            reach = 0
+            for u in _bits(frontier):
+                reach |= masks[u]
+            frontier = reach & ~comp
+            comp |= frontier
+        return comp
 
     def is_connected(self) -> bool:
         if self.n == 0:
             raise ValueError("connectivity of the empty graph is undefined")
-        return all(d >= 0 for d in self.bfs_distances(0))
+        return self._component(0) == self.full_mask
 
     def diameter(self) -> int:
         """Maximum shortest-path distance: the least radius at which every
@@ -138,7 +152,7 @@ class Graph:
     def _grow_balls(self) -> Iterator[list[int]]:
         """Masks of the radius-r balls around every vertex, for r = 0, 1, ...
         until they stop growing."""
-        neighbors = [tuple(s) for s in self._adj]
+        neighbors = [_bits(row) for row in self._masks]
         balls = [1 << v for v in range(self.n)]
         while True:
             yield balls
@@ -158,22 +172,12 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each sorted, ordered by minimum vertex."""
-        seen = [False] * self.n
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+        rest = self.full_mask
+        while rest:
+            comp = self._component((rest & -rest).bit_length() - 1)
+            comps.append(_bits(comp))
+            rest &= ~comp
         return comps
 
     def subgraph(self, vertices: list[int]) -> "Graph":
@@ -182,7 +186,7 @@ class Graph:
         edges = [
             (index[u], index[w])
             for u in vertices
-            for w in self._adj[u]
+            for w in _bits(self._masks[u])
             if u < w and w in index
         ]
         return Graph(len(vertices), edges)

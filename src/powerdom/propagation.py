@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotPowerDominatingError
-from .graph import Graph
+from .errors import InternalConsistencyError, NotPowerDominatingError
+from .graph import Graph, _bits
 
 UNOBSERVED = -1
 
@@ -29,16 +29,6 @@ def _as_mask(g: Graph, s: Iterable[int]) -> int:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
         mask |= 1 << v
     return mask
-
-
-def _bits(mask: int) -> list:
-    """The set bits of mask, lowest first."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,8 @@ def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
     record = {}
     for i in range(1, len(masks)):
         prev = masks[i - 1]
-        new = _bits(masks[i] & ~prev)
+        unobserved = ~prev
+        new = _bits(masks[i] & unobserved)
         for v in new:
             labels[v] = i
             if i == 1:
@@ -101,11 +92,15 @@ def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
                 w = (seed_nbrs & -seed_nbrs).bit_length() - 1
             else:
                 # smallest observed vertex whose unique unobserved neighbor was v
-                w = min(
-                    u
-                    for u in g.neighbors(v)
-                    if (prev >> u) & 1 and adj_masks[u] & ~prev == (1 << v)
-                )
+                cand = adj_masks[v] & prev
+                while cand:
+                    b = cand & -cand
+                    w = b.bit_length() - 1
+                    if adj_masks[w] & unobserved == 1 << v:
+                        break
+                    cand ^= b
+                else:
+                    raise InternalConsistencyError(f"vertex {v} at step {i} has no forcer")
             record[v] = (w, i)
         layers.append(layers[-1].union(new))
 

@@ -73,8 +73,7 @@ from itertools import islice, product
 from math import prod
 
 from .errors import InternalConsistencyError, SearchBudgetExceeded
-from .graph import Graph
-from .propagation import _bits
+from .graph import Graph, _bits
 
 DEFAULT_WORK_LIMIT = 10**8
 
@@ -260,13 +259,18 @@ def _representatives(g: Graph) -> int:
     """Mask of the vertices x with no neighbour y such that N[x] is strictly
     inside N[y], or N[x] = N[y] and y < x. Only neighbours need checking:
     N[x] inside N[y] puts x in N[y], so y is in N[x]."""
-    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
+    adj = g.adjacency_masks
+    closed = [mask | 1 << v for v, mask in enumerate(adj)]
     reps = 0
     for x, cx in enumerate(closed):
-        for y in g.neighbors(x):
+        nbrs = adj[x]
+        while nbrs:
+            b = nbrs & -nbrs
+            y = b.bit_length() - 1
             cy = closed[y]
             if cx & cy == cx and (cy != cx or y < x):
                 break
+            nbrs ^= b
         else:
             reps |= 1 << x
     return reps

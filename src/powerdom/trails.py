@@ -17,7 +17,9 @@ end. Trail length is bounded only by the graph, not by a recursion limit.
 One checking pass, _trail_labels, both computes the edge labels and finds
 the first violated condition. is_monotone_trail reports that violation,
 and extract_monotone_trail keeps it as a self-check on every trail it
-returns, so each trail is walked once and checked once.
+returns, so each trail is walked once and checked once. Both raise
+ValueError when the trace was computed on a graph that is neither g nor
+equal to g.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ class TrailCheck(NamedTuple):
         return self.ok
 
 
-def _check_vertices(g: Graph, vertices: Sequence[int]) -> None:
+def _check_args(g: Graph, trace: ObservationTrace, vertices: Sequence[int]) -> None:
+    if trace.graph is not g and trace.graph != g:
+        raise ValueError("the trace was computed on a different graph")
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
@@ -105,7 +109,7 @@ def is_monotone_trail(
     g: Graph, trace: ObservationTrace, vertices: Sequence[int]
 ) -> TrailCheck:
     """Check the monotone trail conditions; report the first violation."""
-    _check_vertices(g, vertices)
+    _check_args(g, trace, vertices)
     if len(vertices) < 2:
         raise ValueError("a trail needs at least one edge (two vertices)")
     for v in vertices:
@@ -125,7 +129,7 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     observed at exactly i-1 when the forcer was observed earlier. Ties
     always break to the smallest vertex ID, so extraction is deterministic.
     """
-    _check_vertices(g, (v,))
+    _check_args(g, trace, (v,))
     for u in trace.start:
         if g.degree(u) <= 1:
             raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
@@ -146,13 +150,19 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
         if t[w] == i - 1:
             x = w
         else:
-            level = [y for y in g.neighbors(w) if t[y] == i - 1]
-            if not level:
+            cand = adj[w]
+            while cand:
+                b = cand & -cand
+                y = b.bit_length() - 1
+                if t[y] == i - 1:
+                    break
+                cand ^= b
+            else:
                 raise InternalConsistencyError(
                     f"forcer {w} of {x} (step {i}) has no neighbor observed at {i-1}"
                 )
             walk.append(w)
-            x = min(level)
+            x = y
         walk.append(x)
     u, _ = record[x]  # smallest seed neighbor
     others = adj[u] & ~(1 << x)

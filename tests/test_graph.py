@@ -1,7 +1,10 @@
 """Graph structure and file format."""
 
+import random
+from collections import deque
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerdom.errors import DisconnectedGraphError, GraphParseError
@@ -26,6 +29,60 @@ def graphs(max_n=8):
             else st.just([]),
         )
     )
+
+
+def bfs_distances(g, source):
+    """Distances from source, -1 for unreachable vertices: the oracle for
+    diameter and components."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def multiword_cases():
+    """(name, n, edge list) with n around and past the 64-bit word size, so
+    adjacency rows span one to four words. Edge lists repeat some edges and
+    give some in reversed orientation."""
+    cases = []
+    for n in (63, 64, 65, 129, 200):
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        cases.append((f"path-{n}", n, [(v, v + 1) for v in range(n - 1)]))
+        sparse = rng.sample(pairs, n)
+        sparse += [(v, u) for u, v in sparse[: n // 4]]
+        cases.append((f"sparse-{n}", n, sparse))
+        # a path on the even vertices, a sparser random graph on the odd ones
+        evens = [(v, v + 2) for v in range(0, n - 2, 2)]
+        odds = [(u, v) for u, v in rng.sample(pairs, 2 * n) if u % 2 and v % 2]
+        cases.append((f"union-{n}", n, evens + odds))
+    return cases
+
+
+MULTIWORD = multiword_cases()
+
+
+def edge_list_components(n, edges):
+    """Components by repeated relabelling of an edge list to its least label."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    comps = {}
+    for v in range(n):
+        comps.setdefault(label[v], []).append(v)
+    return list(comps.values())
 
 
 class TestConstruction:
@@ -59,6 +116,21 @@ class TestConstruction:
         g = Graph(5, [(0, 4), (1, 2), (1, 3)])
         assert g.adjacency_masks[1] == (1 << 2) | (1 << 3)
         assert g.adjacency_masks[0] == 1 << 4
+
+    @pytest.mark.parametrize("n,edges", [c[1:] for c in MULTIWORD], ids=[c[0] for c in MULTIWORD])
+    def test_rows_match_edge_list(self, n, edges):
+        g = Graph(n, edges)
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.adjacency_masks == tuple(sum(1 << w for w in s) for s in nbrs)
+        assert [g.neighbors(v) for v in range(n)] == nbrs
+        assert [g.degree(v) for v in range(n)] == [len(s) for s in nbrs]
+        assert g.max_degree() == max(len(s) for s in nbrs)
+        pairs = sorted({(min(e), max(e)) for e in edges})
+        assert g.edges() == pairs
+        assert g.edge_count == len(pairs)
 
 
 class TestParse:
@@ -125,6 +197,8 @@ class TestWrite:
 
     @settings(max_examples=150, deadline=None)
     @given(graphs())
+    @example(Graph(*MULTIWORD[-1][1:]))
+    @example(Graph(*MULTIWORD[7][1:]))
     def test_round_trip(self, g):
         assert parse_graph(write_graph(g)) == g
 
@@ -156,7 +230,7 @@ class TestQueries:
 
     def test_diameter_matches_bfs(self, catalog_all_8, random_connected_500):
         def bfs_diameter(g):
-            return max(max(g.bfs_distances(v)) for v in range(g.n))
+            return max(max(bfs_distances(g, v)) for v in range(g.n))
 
         hdelta = [gen_h_delta(delta)[0] for delta in range(3, 17)]
         for g in catalog_all_8 + random_connected_500 + hdelta:
@@ -169,6 +243,9 @@ class TestQueries:
     def test_is_connected(self):
         assert gen_path(3).is_connected()
         assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
+        for name, n, edges in MULTIWORD:
+            connected = len(edge_list_components(n, edges)) == 1
+            assert Graph(n, edges).is_connected() == connected, name
 
     def test_is_tree(self):
         assert gen_path(4).is_tree()
@@ -184,28 +261,59 @@ class TestQueries:
             assert g.diameter() == 4
             assert g.is_connected()
 
-    def test_bfs_distances_marks_unreachable(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert g.bfs_distances(0) == [0, 1, -1, -1]
-
     def test_components(self):
         g = Graph(6, [(4, 5), (0, 2), (2, 1)])
         assert g.components() == [[0, 1, 2], [3], [4, 5]]
+        assert Graph(4, [(0, 1), (2, 3)]).components() == [[0, 1], [2, 3]]
+        assert Graph(3).components() == [[0], [1], [2]]
+        assert Graph(0).components() == []
+        for name, n, edges in MULTIWORD:
+            assert Graph(n, edges).components() == edge_list_components(n, edges), name
+
+    def test_components_match_bfs(self, catalog_all_8):
+        for g in catalog_all_8:
+            comps, seen = [], set()
+            for v in range(g.n):
+                if v not in seen:
+                    comps.append([w for w, d in enumerate(bfs_distances(g, v)) if d >= 0])
+                    seen.update(comps[-1])
+            assert g.components() == comps, g.edges()
+            assert g.is_connected() == (len(comps) == 1)
 
     def test_subgraph_relabels(self):
         g = gen_cycle(5)
         sub = g.subgraph([1, 2, 3])
         assert sub.n == 3
         assert sub.edges() == [(0, 1), (1, 2)]
+        for name, n, edges in MULTIWORD:
+            # every vertex not divisible by 3, listed from the top down
+            keep = [v for v in range(n - 1, -1, -1) if v % 3]
+            index = {v: i for i, v in enumerate(keep)}
+            expected = sorted(
+                {
+                    (min(index[u], index[v]), max(index[u], index[v]))
+                    for u, v in edges
+                    if u in index and v in index
+                }
+            )
+            sub = Graph(n, edges).subgraph(keep)
+            assert (sub.n, sub.edges()) == (len(keep), expected), name
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
+        for name, n, edges in MULTIWORD:
+            g = Graph(n, edges)
+            pairs = g.edges()
+            twin = Graph(n, [(v, u) for u, v in reversed(pairs)])
+            assert twin == g and hash(twin) == hash(g), name
+            assert g != Graph(n, pairs[:-1]) and g != Graph(n + 1, pairs), name
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(max_n=7))
+    @example(Graph(*MULTIWORD[4][1:]))
     def test_edges_match_neighbor_sets(self, g):
         for u, v in g.edges():
             assert u < v

@@ -99,6 +99,14 @@ class TestChecker:
         with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
             is_monotone_trail(g, tr, walk)
 
+    def test_trace_from_another_graph_rejected(self):
+        # the cycle's edge {0,5} must not be judged by the path's time labels
+        tr = propagate(gen_path(6), {1, 4})
+        with pytest.raises(ValueError, match="different graph"):
+            is_monotone_trail(gen_cycle(6), tr, [0, 5])
+        # an equal graph built separately is the same graph
+        assert is_monotone_trail(gen_path(6), tr, [0, 1, 2, 3])
+
 
 class TestExtraction:
     def test_p4(self):
@@ -121,6 +129,13 @@ class TestExtraction:
         assert len(set(trail.vertices)) < len(trail.vertices)
         assert len(set(trail.edges)) == len(trail.edges)
         assert is_monotone_trail(g, tr, trail.vertices)
+
+    def test_trace_from_another_graph_rejected(self):
+        # vertex 4 of P_5 has no time label in a trace of P_3
+        with pytest.raises(ValueError, match="different graph"):
+            extract_monotone_trail(gen_path(5), propagate(gen_path(3), {1}), 4)
+        trail = extract_monotone_trail(gen_path(4), propagate(gen_path(4), {1}), 3)
+        assert trail.vertices == (0, 1, 2, 3)
 
     def test_every_vertex_of_cycle(self):
         g = gen_cycle(7)
