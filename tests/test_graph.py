@@ -31,15 +31,15 @@ def graphs(max_n=8):
     )
 
 
-def bfs_distances(g, source):
-    """Distances from source, -1 for unreachable vertices: the oracle for
-    diameter and components."""
-    dist = [-1] * g.n
+def bfs_distances(nbrs, source):
+    """Distances from source over the neighbour sets nbrs, -1 for unreachable
+    vertices: the oracle for diameter and components."""
+    dist = [-1] * len(nbrs)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in nbrs[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -230,7 +230,8 @@ class TestQueries:
 
     def test_diameter_matches_bfs(self, catalog_all_8, random_connected_500):
         def bfs_diameter(g):
-            return max(max(bfs_distances(g, v)) for v in range(g.n))
+            nbrs = [g.neighbors(v) for v in range(g.n)]
+            return max(max(bfs_distances(nbrs, v)) for v in range(g.n))
 
         hdelta = [gen_h_delta(delta)[0] for delta in range(3, 17)]
         for g in catalog_all_8 + random_connected_500 + hdelta:
@@ -272,10 +273,11 @@ class TestQueries:
 
     def test_components_match_bfs(self, catalog_all_8):
         for g in catalog_all_8:
+            nbrs = [g.neighbors(v) for v in range(g.n)]
             comps, seen = [], set()
             for v in range(g.n):
                 if v not in seen:
-                    comps.append([w for w, d in enumerate(bfs_distances(g, v)) if d >= 0])
+                    comps.append([w for w, d in enumerate(bfs_distances(nbrs, v)) if d >= 0])
                     seen.update(comps[-1])
             assert g.components() == comps, g.edges()
             assert g.is_connected() == (len(comps) == 1)
