@@ -262,6 +262,16 @@ class TestQueries:
             assert g.diameter() == 4
             assert g.is_connected()
 
+    def test_bfs_distances_marks_unreachable(self):
+        # the oracle behind the diameter and component checks: vertices
+        # outside the source's component read -1, and the reached ones are
+        # exactly the component Graph reports
+        g = Graph(4, [(0, 1), (2, 3)])
+        nbrs = [g.neighbors(v) for v in range(g.n)]
+        assert bfs_distances(nbrs, 0) == [0, 1, -1, -1]
+        assert bfs_distances(nbrs, 3) == [-1, -1, 1, 0]
+        assert g.components() == [[0, 1], [2, 3]]
+
     def test_components(self):
         g = Graph(6, [(4, 5), (0, 2), (2, 1)])
         assert g.components() == [[0, 1, 2], [3], [4, 5]]
