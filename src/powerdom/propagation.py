@@ -13,7 +13,7 @@ propagation time of S = V(G) is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, NotPowerDominatingError
@@ -39,6 +39,11 @@ class ObservationTrace:
     reached). forcing_record maps each vertex observed at step i >= 2 to
     (forcer, i) with the smallest eligible forcer, and each vertex
     observed at step 1 outside the seeds to (smallest seed neighbor, 1).
+
+    A private cache, _trails, holds every MonotoneTrail that
+    trails.extract_monotone_trail has returned for this trace, keyed by
+    its last vertex; later trails are built on those. It takes no part in
+    equality, repr or to_json_dict.
     """
 
     graph: Graph
@@ -47,6 +52,7 @@ class ObservationTrace:
     time_label: tuple
     forcing_record: Mapping
     complete: bool
+    _trails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def steps(self) -> int:

@@ -296,6 +296,7 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     if l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
     budget = _Budget(work_limit)
-    return sum(
-        _l_round_connected(g.subgraph(comp), l, budget) for comp in g.components()
-    )
+    comps = g.components()
+    if len(comps) == 1:
+        return _l_round_connected(g, l, budget)
+    return sum(_l_round_connected(g.subgraph(comp), l, budget) for comp in comps)

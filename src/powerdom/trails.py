@@ -15,15 +15,38 @@ The backward walk is iterative: every step moves to a vertex observed one
 round earlier, so it appends to one list, which is reversed once at the
 end. Trail length is bounded only by the graph, not by a recursion limit.
 One checking pass, _trail_labels, both computes the edge labels and finds
-the first violated condition. is_monotone_trail reports that violation,
-and extract_monotone_trail keeps it as a self-check on every trail it
-returns, so each trail is walked once and checked once. Both raise
-ValueError when the trace was computed on a graph that is neither g nor
-equal to g.
-"""
+the first violated condition. is_monotone_trail runs it over the whole
+walk and reports that violation. Both functions raise ValueError when the
+trace was computed on a graph that is neither g nor equal to g.
 
+Where the walk goes next depends only on the vertex it stands on, so the
+trail to v is the trail to any vertex x on its walk, followed by the walk
+from x to v. Each trace keeps, in its private _trails dict, every trail
+extract_monotone_trail has returned for it, by last vertex. The walk stops
+at the first vertex with a kept trail, or at step 1, and the new trail is
+the kept one followed by the reversed new walk. Only returned trails are
+kept: keeping one for every vertex a walk passes would hold a trail per
+vertex of a long path, quadratic memory for a single far-end trail.
+
+Every returned trail is still checked by _trail_labels, over a window:
+the kept trail's trailing edges whose labels are at least the first new
+edge's label, always including its last edge, followed by the new edges.
+The window check fails exactly when a check of the whole trail would:
+
+- the kept prefix already passed all four conditions;
+- the window checks adjacency, the join and monotonicity of the new
+  edges, and the last label;
+- an edge's label is a function of the edge, and the prefix's labels
+  never decrease, so any edge a new edge could repeat lies in the window.
+  (If the new labels are monotone they are all at least the first one, and
+  so is the label of any edge they repeat; if not, the window fails.)
+
+Only the reason given can differ, when the window meets a monotonicity
+violation before a repeat that lies outside it; the error type is the same.
+"""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -128,11 +151,15 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     of its forcer (observed at i-1), or of the forcer's smallest neighbor
     observed at exactly i-1 when the forcer was observed earlier. Ties
     always break to the smallest vertex ID, so extraction is deterministic.
+    The walk stops early at a vertex whose trail was already returned for
+    this trace, and extends that trail.
     """
     _check_args(g, trace, (v,))
-    for u in trace.start:
-        if g.degree(u) <= 1:
-            raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
+    kept = trace._trails
+    if not kept:  # a kept trail means the seeds passed this check
+        for u in trace.start:
+            if g.degree(u) <= 1:
+                raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
     if v in trace.start:
         raise ValueError(f"vertex {v} is a seed; trails end outside the seed set")
     if trace.time_label[v] == UNOBSERVED:
@@ -141,10 +168,12 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     t = trace.time_label
     record = trace.forcing_record
     adj = g.adjacency_masks
-    # the trail from its end backwards; each step lowers the time label by one
-    walk = [v]
+    # the trail from its end backwards, down to a kept trail's last vertex
+    # or to step 1; each step lowers the time label by one
+    walk = []
     x = v
-    while t[x] != 1:
+    while x not in kept and t[x] != 1:
+        walk.append(x)
         i = t[x]
         w, _ = record[x]
         if t[w] == i - 1:
@@ -163,17 +192,33 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
                 )
             walk.append(w)
             x = y
+    prefix = kept.get(x)
+    if prefix is None:
+        u, _ = record[x]  # smallest seed neighbor
+        others = adj[u] & ~(1 << x)
         walk.append(x)
-    u, _ = record[x]  # smallest seed neighbor
-    others = adj[u] & ~(1 << x)
-    walk.append(u)
-    walk.append((others & -others).bit_length() - 1)  # the seed's smallest other neighbor
-    walk.reverse()
-
-    vertices = tuple(walk)
-    labels, reason = _trail_labels(g, t, vertices)
+        walk.append(u)
+        walk.append((others & -others).bit_length() - 1)  # the seed's smallest other neighbor
+        walk.reverse()
+        vertices = tuple(walk)
+        labels, reason = _trail_labels(g, t, vertices)
+    elif not walk:
+        return prefix
+    else:
+        walk.reverse()
+        vertices = prefix.vertices + tuple(walk)
+        head = prefix.edge_labels
+        # the window starts at the first kept edge labelled at least the
+        # first new edge, and at the kept trail's last edge at the latest
+        first = max(t[x], t[walk[0]])
+        m = bisect_left(head, first, 0, len(head) - 1)
+        labels, reason = _trail_labels(g, t, vertices[m:])
+        if reason is None:
+            labels = head[:m] + labels
     if reason is not None or len(labels) < t[v] + 1:
         raise InternalConsistencyError(
             f"extracted trail for vertex {v} is invalid: {reason or 'too short'}"
         )
-    return MonotoneTrail(vertices=vertices, edge_labels=labels)
+    trail = MonotoneTrail(vertices=vertices, edge_labels=labels)
+    kept[v] = trail
+    return trail

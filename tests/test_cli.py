@@ -325,6 +325,22 @@ _ID_LIST = st.one_of(
 )
 
 
+# each family's parameters; values in -3..40 keep every graph small
+_GEN_PARAMS = {
+    "hdelta": ("delta",),
+    "path": ("n",),
+    "cycle": ("n",),
+    "star": ("k",),
+    "complete": ("n",),
+    "spider": ("legs", "len"),
+    "rtree": ("n", "seed"),
+}
+_PARAM = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.sampled_from(["", "x", "1.5", "--", "99999999999999999999"]),
+)
+
+
 def _run_quiet(argv, text):
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -369,3 +385,31 @@ class TestFuzz:
         if as_json:
             argv.append("--json")
         assert _run_quiet(argv, text) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_GEN_PARAMS)),
+        values=st.lists(_PARAM, min_size=2, max_size=2),
+        drop=st.booleans(),
+        as_json=st.booleans(),
+    )
+    def test_gen_exits_0_or_1(self, family, values, drop, as_json):
+        names = _GEN_PARAMS[family]
+        argv = ["gen", family] + [f"--{k}={v}" for k, v in zip(names, values)]
+        if drop:
+            argv.pop()
+        if as_json:
+            argv.append("--json")
+        assert _run_quiet(argv, "") in (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lo=st.integers(min_value=-2, max_value=8),
+        hi=st.integers(min_value=-2, max_value=8),
+        as_json=st.booleans(),
+    )
+    def test_demo_exits_0_or_1(self, lo, hi, as_json):
+        argv = ["demo", f"--from={lo}", f"--to={hi}"]
+        if as_json:
+            argv.append("--json")
+        assert _run_quiet(argv, "") in (0, 1)

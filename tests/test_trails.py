@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -179,6 +181,32 @@ class TestExtraction:
         assert trail.length == 2999
         assert trail.vertices == (0, *range(1, 3000))
         assert is_monotone_trail(g, tr, trail.vertices)
+
+    def test_far_end_trail_memory_stays_linear(self):
+        # one trail of 3,000 vertices peaks near 0.4 MB; keeping a trail for
+        # every vertex the walk passes would peak near 73 MB
+        g = gen_path(3000)
+        tr = propagate(g, {1})
+        tracemalloc.start()
+        try:
+            extract_monotone_trail(g, tr, 2999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_returned_trails_are_reused(self):
+        g = gen_path(6)
+        tr = propagate(g, {1})
+        near = extract_monotone_trail(g, tr, 3)
+        far = extract_monotone_trail(g, tr, 5)
+        assert far.vertices[: len(near.vertices)] == near.vertices
+        assert extract_monotone_trail(g, tr, 3) is near
+        # a copy of the trace starts with nothing kept, and equals the original
+        fresh = replace(tr)
+        assert fresh == tr and repr(fresh) == repr(tr)
+        assert extract_monotone_trail(g, fresh, 3) == near
+        assert extract_monotone_trail(g, fresh, 3) is not near
 
     @pytest.mark.parametrize("v", [-1, 4])
     def test_out_of_range_vertex_rejected(self, v):
@@ -422,22 +450,78 @@ class TestMatchesRecursiveExtractor:
     )
     def test_traces_trails_and_checks_agree(self, cases):
         rng = random.Random(cases.__name__)
+        order_rng = random.Random(f"{cases.__name__} order")
         for g, seeds in cases():
             tr, ref = propagate(g, seeds), ref_propagate(g, seeds)
             assert tr == ref
             assert list(tr.forcing_record.items()) == list(ref.forcing_record.items())
             assert tr.to_json_dict() == ref.to_json_dict()
-            for v in range(g.n):
-                if tr.time_label[v] > 0:
-                    got = _outcome(extract_monotone_trail, g, tr, v)
-                    assert got == _outcome(ref_extract_monotone_trail, g, ref, v), (seeds, v)
-                    if isinstance(got, MonotoneTrail):
-                        for k in range(2, len(got.vertices)):
-                            walk = got.vertices[-k:]
-                            assert is_monotone_trail(g, tr, walk) == ref_is_monotone_trail(
-                                g, ref, walk
-                            )
+            targets = [v for v in range(g.n) if tr.time_label[v] > 0]
+            want = {v: _outcome(ref_extract_monotone_trail, g, ref, v) for v in targets}
+            # one shared trace per order, so later trails reuse earlier ones
+            shuffled = order_rng.sample(targets, len(targets))
+            for order in (targets, targets[::-1], shuffled):
+                shared = propagate(g, seeds)
+                for v in order:
+                    assert _outcome(extract_monotone_trail, g, shared, v) == want[v], (seeds, v)
+            for v in targets:
+                got = _outcome(extract_monotone_trail, g, replace(tr), v)
+                assert got == want[v], (seeds, v)
+                if isinstance(got, MonotoneTrail):
+                    for k in range(2, len(got.vertices)):
+                        walk = got.vertices[-k:]
+                        assert is_monotone_trail(g, tr, walk) == ref_is_monotone_trail(
+                            g, ref, walk
+                        )
             for walk in _random_walks(g, rng, 4):
                 assert _outcome(is_monotone_trail, g, tr, walk) == _outcome(
                     ref_is_monotone_trail, g, ref, walk
                 ), walk
+
+
+def _corrupted(tr, rng, count):
+    """A copy of tr with count forcing records replaced by seeded random
+    vertices. Half of them are neighbours of the forced vertex, so the walk
+    keeps its last edge and the later conditions get exercised."""
+    g = tr.graph
+    record = dict(tr.forcing_record)
+    for x in rng.sample(sorted(record), min(count, len(record))):
+        nbrs = sorted(g.neighbors(x))
+        w = rng.choice(nbrs) if rng.random() < 0.5 else rng.randrange(g.n)
+        record[x] = (w, record[x][1])
+    return replace(tr, forcing_record=record)
+
+
+def _kind(outcome):
+    """A trail as is; an exception by its type alone."""
+    return outcome if isinstance(outcome, MonotoneTrail) else outcome[0]
+
+
+class TestKeptTrailsMatchColdExtraction:
+    @pytest.mark.parametrize(
+        "cases",
+        [hdelta_cases, spider_cases, tree_cases, sparse_cases],
+        ids=["hdelta", "spider", "tree", "sparse"],
+    )
+    def test_warm_equals_cold_on_corrupted_traces(self, cases):
+        # a trail built on kept trails must be what a cold extraction
+        # builds, or fail with the same exception type, even when the
+        # forcing history is wrong and the self-check has to catch it
+        rng = random.Random(f"{cases.__name__} corrupted")
+        for g, seeds in cases():
+            tr = propagate(g, seeds)
+            targets = [v for v in range(g.n) if tr.time_label[v] > 0]
+            for count in (1, 3, len(targets) // 4):
+                bad = _corrupted(tr, rng, count)
+                order = rng.sample(targets, len(targets))
+                for v in order:
+                    cold = _kind(_outcome(extract_monotone_trail, g, replace(bad), v))
+                    warm = replace(bad)
+                    for u in order:
+                        if u != v:
+                            _outcome(extract_monotone_trail, g, warm, u)
+                    assert _kind(_outcome(extract_monotone_trail, g, warm, v)) == cold, (
+                        seeds,
+                        count,
+                        v,
+                    )
