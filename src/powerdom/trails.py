@@ -33,7 +33,8 @@ the kept trail's trailing edges whose labels are at least the first new
 edge's label, always including its last edge, followed by the new edges.
 The window check fails exactly when a check of the whole trail would:
 
-- the kept prefix already passed all four conditions;
+- the kept prefix already passed all four conditions (consecutive
+  vertices adjacent, no edge repeated, labels monotone, last label);
 - the window checks adjacency, the join and monotonicity of the new
   edges, and the last label;
 - an edge's label is a function of the edge, and the prefix's labels
@@ -44,6 +45,7 @@ The window check fails exactly when a check of the whole trail would:
 Only the reason given can differ, when the window meets a monotonicity
 violation before a repeat that lies outside it; the error type is the same.
 """
+
 from __future__ import annotations
 
 from bisect import bisect_left
