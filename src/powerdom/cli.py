@@ -3,8 +3,12 @@
 Subcommands cover the whole toolkit: parsing and generating graphs,
 running the observation process, exact solving, bound reports, trail and
 tree certificates, and the counterexample demo table. Every subcommand
-accepts `--json` for machine-readable output and `-` as the input path to
-read the graph from stdin.
+accepts `--json` for machine-readable output (`gen` after the family
+name). All but `gen` and `demo`, which build their own graphs, read a
+graph file, or stdin when the path is `-`. The subcommands that search,
+`gamma`, `ppt`, `lround`, `bounds`, `verify-tree` and `demo`, take
+`--limit N` to cap the solver's work. Each handler returns its JSON
+payload and its text, and main prints one of them.
 
 Exit codes: 0 success, 1 usage or parse error, 2 solver work limit
 exceeded, 3 internal consistency failure.
@@ -19,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import families
-from .bounds import _refuted_bound, bounds_report
+from .bounds import _fraction_json, _refuted_bound, bounds_report
 from .errors import (
     InternalConsistencyError,
     PowerdomError,
@@ -61,13 +65,6 @@ def _parse_vertex_set(text: str) -> list:
         return [int(part) for part in text.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"bad vertex list {text!r}; expected e.g. 0,3,7")
-
-
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
 
 
 def counterexample_demo(
@@ -124,24 +121,22 @@ def counterexample_demo(
     return rows
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> tuple:
     g = _read_graph(args.graph)
     result = gamma_p(g, work_limit=args.limit)
     lines = [f"gamma_p = {result.gamma_p}", f"ppt = {result.ppt_graph}", "witnesses:"]
     for w in result.witnesses:
         lines.append(f"  {{{', '.join(map(str, w.vertices))}}} ppt={w.ppt}")
-    _emit(args, result.to_json_dict(), "\n".join(lines))
-    return 0
+    return result.to_json_dict(), "\n".join(lines)
 
 
-def _cmd_ppt(args) -> int:
+def _cmd_ppt(args) -> tuple:
     g = _read_graph(args.graph)
     value = ppt_graph(g, work_limit=args.limit)
-    _emit(args, {"ppt_graph": value}, f"ppt = {value}")
-    return 0
+    return {"ppt_graph": value}, f"ppt = {value}"
 
 
-def _cmd_propagate(args) -> int:
+def _cmd_propagate(args) -> tuple:
     g = _read_graph(args.graph)
     trace = propagate(g, _parse_vertex_set(args.set))
     lines = []
@@ -151,22 +146,19 @@ def _cmd_propagate(args) -> int:
         lines.append(f"complete, ppt = {trace.steps}")
     else:
         lines.append(f"stalled after {trace.steps} steps; not a power dominating set")
-    _emit(args, trace.to_json_dict(), "\n".join(lines))
-    return 0
+    return trace.to_json_dict(), "\n".join(lines)
 
 
-def _cmd_lround(args) -> int:
+def _cmd_lround(args) -> tuple:
     g = _read_graph(args.graph)
     value = l_round_number(g, args.l, work_limit=args.limit)
-    _emit(
-        args,
+    return (
         {"l": args.l, "l_round_number": value},
         f"l-round power domination number (l={args.l}) = {value}",
     )
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple:
     g = _read_graph(args.graph)
     rep = bounds_report(g, work_limit=args.limit)
     verdict = "REFUTES" if rep.refutation_flag else "consistent"
@@ -180,8 +172,7 @@ def _cmd_bounds(args) -> int:
     ]
     if rep.tree_bound is not None:
         lines.append(f"tree lower bound = {rep.tree_bound}")
-    _emit(args, rep.to_json_dict(), "\n".join(lines))
-    return 0
+    return rep.to_json_dict(), "\n".join(lines)
 
 
 # family -> (generator, its integer arguments in call order); the
@@ -197,27 +188,18 @@ _GEN_FAMILIES = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     generate, names = _GEN_FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
     g = generate(*values)
     header = " ".join(
         [f"# family: {args.family}"] + [f"{k}={v}" for k, v in zip(names, values)]
     )
-    if args.json:
-        print(
-            json.dumps(
-                {"n": g.n, "m": g.edge_count, "edges": [list(e) for e in g.edges()]},
-                indent=2,
-            )
-        )
-    else:
-        print(header)
-        sys.stdout.write(write_graph(g))
-    return 0
+    payload = {"n": g.n, "m": g.edge_count, "edges": [list(e) for e in g.edges()]}
+    return payload, f"{header}\n{write_graph(g).rstrip()}"
 
 
-def _cmd_trail(args) -> int:
+def _cmd_trail(args) -> tuple:
     g = _read_graph(args.graph)
     trace = propagate(g, _parse_vertex_set(args.set))
     trail = extract_monotone_trail(g, trace, args.vertex)
@@ -229,13 +211,12 @@ def _cmd_trail(args) -> int:
         f"edge labels: {' '.join(map(str, trail.edge_labels))}\n"
         f"length {trail.length} >= t({args.vertex})+1 = {trace.time_label[args.vertex] + 1}"
     )
-    _emit(args, payload, human)
-    return 0
+    return payload, human
 
 
-def _cmd_verify_tree(args) -> int:
+def _cmd_verify_tree(args) -> tuple:
     g = _read_graph(args.graph)
-    cert = verify_tree_diameter_bound(g)
+    cert = verify_tree_diameter_bound(g, work_limit=args.limit)
     human = (
         f"ppt = {cert.ppt_repaired}, diam = {cert.diam}: "
         f"ppt <= diam-1 holds\n"
@@ -243,43 +224,32 @@ def _cmd_verify_tree(args) -> int:
         f"(repaired from {sorted(cert.original_set)})\n"
         f"witness path: {' '.join(map(str, cert.witness_trail.vertices))}"
     )
-    _emit(args, cert.to_json_dict(), human)
-    return 0
+    return cert.to_json_dict(), human
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple:
     rows = counterexample_demo(args.delta_min, args.delta_max, work_limit=args.limit)
-    if args.json:
-        payload = []
-        for r in rows:
-            q = r["refuted_bound"]
-            payload.append(
-                {
-                    **{k: r[k] for k in ("delta", "n", "diam", "max_degree")},
-                    "gamma_p": r["gamma_p"],
-                    "gamma_mode": r["gamma_mode"],
-                    "refuted_bound": {"num": q.numerator, "den": q.denominator},
-                    "refutation_flag": r["refutation_flag"],
-                }
-            )
-        print(json.dumps(payload, indent=2))
-        return 0
-    head = f"{'delta':>5}  {'n':>4}  {'diam':>4}  {'maxdeg':>6}  {'gamma_p':>18}  {'bound':>16}  verdict"
-    print(head)
+    payload = [{**r, "refuted_bound": _fraction_json(r["refuted_bound"])} for r in rows]
+    lines = [
+        f"{'delta':>5}  {'n':>4}  {'diam':>4}  {'maxdeg':>6}  "
+        f"{'gamma_p':>18}  {'bound':>16}  verdict"
+    ]
     for r in rows:
         gamma_col = f"{r['gamma_p']} ({r['gamma_mode']})"
         verdict = "REFUTES" if r["refutation_flag"] else "consistent"
-        print(
+        lines.append(
             f"{r['delta']:>5}  {r['n']:>4}  {r['diam']:>4}  {r['max_degree']:>6}  "
             f"{gamma_col:>18}  {_fmt_fraction(r['refuted_bound']):>16}  {verdict}"
         )
-    return 0
+    return payload, "\n".join(lines)
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
+    # every leaf command takes --json; the ones that search also take --limit
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("--json", action="store_true", help="emit JSON")
+    solving = argparse.ArgumentParser(add_help=False, parents=[plain])
+    solving.add_argument(
         "--limit",
         type=int,
         default=DEFAULT_WORK_LIMIT,
@@ -290,47 +260,47 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="powerdom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("gamma", parents=[common], help="exact power domination number")
+    p = sub.add_parser("gamma", parents=[solving], help="exact power domination number")
     p.add_argument("graph", help="graph file, or - for stdin")
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("ppt", parents=[common], help="power propagation time of the graph")
+    p = sub.add_parser("ppt", parents=[solving], help="power propagation time of the graph")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_ppt)
 
-    p = sub.add_parser("propagate", parents=[common], help="run observation from a seed set")
+    p = sub.add_parser("propagate", parents=[plain], help="run observation from a seed set")
     p.add_argument("--set", required=True, metavar="IDS", help="comma separated vertex ids")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("lround", parents=[common], help="l-round power domination number")
+    p = sub.add_parser("lround", parents=[solving], help="l-round power domination number")
     p.add_argument("--l", required=True, type=int)
     p.add_argument("graph")
     p.set_defaults(func=_cmd_lround)
 
-    p = sub.add_parser("bounds", parents=[common], help="lower bound report")
+    p = sub.add_parser("bounds", parents=[solving], help="lower bound report")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a named graph family")
+    p = sub.add_parser("gen", help="generate a named graph family")
     fam = p.add_subparsers(dest="family", required=True, metavar="FAMILY")
     for family, (_, names) in _GEN_FAMILIES.items():
-        f = fam.add_parser(family, parents=[common])
+        f = fam.add_parser(family, parents=[plain])
         for name in names:
             f.add_argument(f"--{name}", required=True, type=int)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("trail", parents=[common], help="extract a monotone trail")
+    p = sub.add_parser("trail", parents=[plain], help="extract a monotone trail")
     p.add_argument("--set", required=True, metavar="IDS")
     p.add_argument("--vertex", required=True, type=int)
     p.add_argument("graph")
     p.set_defaults(func=_cmd_trail)
 
-    p = sub.add_parser("verify-tree", parents=[common], help="certify ppt <= diam-1 on a tree")
+    p = sub.add_parser("verify-tree", parents=[solving], help="certify ppt <= diam-1 on a tree")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_verify_tree)
 
-    p = sub.add_parser("demo", parents=[common], help="counterexample family report")
+    p = sub.add_parser("demo", parents=[solving], help="counterexample family report")
     p.add_argument("--from", dest="delta_min", required=True, type=int, metavar="D1")
     p.add_argument("--to", dest="delta_max", required=True, type=int, metavar="D2")
     p.set_defaults(func=_cmd_demo)
@@ -350,7 +320,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
-        return args.func(args)
+        payload, human = args.func(args)
+        print(json.dumps(payload, indent=2) if args.json else human)
+        return 0
     except SearchBudgetExceeded as exc:
         print(f"powerdom: work limit exceeded: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,11 @@ test suite rather than assumed.
 The backward walk is iterative: every step moves to a vertex observed one
 round earlier, so it appends to one list, which is reversed once at the
 end. Trail length is bounded only by the graph, not by a recursion limit.
+Every vertex the walk reads from the forcing record is checked to lie in
+the graph, and a step-1 source must have a neighbor besides the vertex it
+observed, so a corrupt trace raises InternalConsistencyError instead of
+indexing out of range or returning a trail through a vertex that does not
+exist.
 One checking pass, _trail_labels, both computes the edge labels and finds
 the first violated condition. is_monotone_trail runs it over the whole
 walk and reports that violation. Both functions raise ValueError when the
@@ -170,14 +175,19 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     t = trace.time_label
     record = trace.forcing_record
     adj = g.adjacency_masks
+    n = g.n
     # the trail from its end backwards, down to a kept trail's last vertex
     # or to step 1; each step lowers the time label by one
     walk = []
     x = v
-    while x not in kept and t[x] != 1:
-        walk.append(x)
-        i = t[x]
+    while x not in kept:
         w, _ = record[x]
+        if not 0 <= w < n:
+            raise InternalConsistencyError(f"recorded source {w} of {x} is out of range for n={n}")
+        i = t[x]
+        if i == 1:
+            break
+        walk.append(x)
         if t[w] == i - 1:
             x = w
         else:
@@ -196,10 +206,12 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
             x = y
     prefix = kept.get(x)
     if prefix is None:
-        u, _ = record[x]  # smallest seed neighbor
-        others = adj[u] & ~(1 << x)
+        # x was observed at step 1 from w, its smallest seed neighbor
+        others = adj[w] & ~(1 << x)
+        if not others:
+            raise InternalConsistencyError(f"step-1 source {w} of {x} has no other neighbor")
         walk.append(x)
-        walk.append(u)
+        walk.append(w)
         walk.append((others & -others).bit_length() - 1)  # the seed's smallest other neighbor
         walk.reverse()
         vertices = tuple(walk)

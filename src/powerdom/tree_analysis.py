@@ -20,7 +20,7 @@ from typing import FrozenSet
 from .errors import InternalConsistencyError
 from .graph import Graph
 from .propagation import is_pds, ppt_of_set, propagate
-from .solver import gamma_p
+from .solver import DEFAULT_WORK_LIMIT, gamma_p
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -100,11 +100,16 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
     return _repair(t, seed)
 
 
-def verify_tree_diameter_bound(t: Graph) -> TreeCertificate:
-    """Certify ppt(T) <= diam(T) - 1 with an explicit witness path."""
+def verify_tree_diameter_bound(
+    t: Graph, work_limit: int = DEFAULT_WORK_LIMIT
+) -> TreeCertificate:
+    """Certify ppt(T) <= diam(T) - 1 with an explicit witness path.
+
+    work_limit caps the gamma_P search as in solver.gamma_p.
+    """
     _check_tree(t)
     diam = t.diameter()
-    result = gamma_p(t)
+    result = gamma_p(t, work_limit=work_limit)
 
     best_original = None
     best_repaired = None

@@ -226,6 +226,12 @@ class TestVerifyTree:
         code, _, err = run(capsys, "verify-tree", str(path))
         assert code == 1 and "tree" in err
 
+    def test_limit_reaches_the_search(self, capsys, monkeypatch):
+        main(["gen", "rtree", "--n", "14", "--seed", "3"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        code, out, err = run(capsys, "verify-tree", "--limit", "3", "-")
+        assert code == 2 and out == "" and "work limit of 3 exceeded" in err
+
 
 class TestDemo:
     def test_table_threshold(self, capsys):
@@ -292,6 +298,24 @@ class TestExitCodes:
     def test_option_value_double_dash(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "cannot be '--'" in err
+
+    def test_gen_json_goes_after_the_family(self, capsys):
+        code, out, err = run(capsys, "gen", "--json", "path", "--n", "3")
+        assert code == 1 and out == "" and "unrecognized arguments: --json" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "path", "--n", "3"],
+            ["propagate", "--set", "1", "-"],
+            ["trail", "--set", "1", "--vertex", "3", "-"],
+        ],
+        ids=["gen", "propagate", "trail"],
+    )
+    def test_limit_only_where_a_search_runs(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(gen_path(4))))
+        code, out, err = run(capsys, *argv, "--limit=5")
+        assert code == 1 and out == "" and "unrecognized arguments: --limit=5" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -4,8 +4,13 @@ perfbench/tracer.py wraps the callables named in its TARGETS table and
 the engine's two kernel calls. A rename in powerdom would otherwise show
 only as a failed traced benchmark run, since perfbench's own tests are
 not part of this suite. The tracer file is loaded by path, unedited.
+
+The last test pins what perfbench's workloads and tests read from
+results: the demo's exact/certified threshold, trace layers as an init
+field of frozensets, and the fields of GammaResult they compare.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -37,3 +42,20 @@ def test_kernel_engine_has_the_traced_calls():
 
     for meth in ("fixed_point", "layer_masks"):
         assert callable(getattr(_kernel.PropagationCore, meth, None)), meth
+
+
+def test_perfbench_read_contract():
+    from powerdom import cli, families, propagation, solver
+
+    assert cli.EXACT_DEMO_DELTA == 12
+    g = families.gen_path(5)
+    trace = propagation.propagate(g, {1})
+    # perfbench's tests plant a short trace through dataclasses.replace
+    short = dataclasses.replace(trace, layers=trace.layers[:-1])
+    assert short.layers == trace.layers[:-1]
+    layers = list(trace.layers)
+    assert layers and all(type(layer) is frozenset for layer in layers)
+    assert type(solver.l_round_number(g, 1)) is int
+    result = solver.gamma_p(g)
+    assert (result.gamma_p, result.ppt_graph) == (1, 2)
+    assert [w.vertices for w in result.witnesses] == [(v,) for v in range(5)]

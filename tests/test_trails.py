@@ -216,6 +216,48 @@ class TestExtraction:
             extract_monotone_trail(g, tr, v)
 
 
+def _hand_trace(g, start, labels, record):
+    """A trace built from time labels and forcing records as given."""
+    layers = tuple(
+        frozenset(v for v in range(g.n) if 0 <= labels[v] <= i) for i in range(max(labels) + 1)
+    )
+    return ObservationTrace(g, frozenset(start), layers, tuple(labels), record, True)
+
+
+def _p5_with_record(x, entry):
+    """propagate(P_5, {1}) with the forcing record of x replaced."""
+    tr = propagate(gen_path(5), {1})
+    return replace(tr, forcing_record={**tr.forcing_record, x: entry})
+
+
+class TestCorruptRecordsRaise:
+    # each forcing record below names a vertex the walk would otherwise read
+    # out of range: a seed neighbor with no other neighbor, or a source
+    # past either end of the vertex range
+    @pytest.mark.parametrize(
+        "trace,v",
+        [
+            (
+                _hand_trace(
+                    Graph(4, [(0, 1), (0, 3), (2, 3)]),
+                    {0},
+                    (0, 1, 1, 1),
+                    {1: (0, 1), 3: (2, 1), 2: (3, 1)},
+                ),
+                3,
+            ),
+            (_p5_with_record(3, (5, 2)), 3),
+            (_p5_with_record(3, (-5, 2)), 3),
+            (_p5_with_record(2, (-1, 1)), 2),
+            (_p5_with_record(3, (5, 2)), 4),
+        ],
+        ids=["no-other-neighbor", "source-past-n", "source-negative", "step1-negative", "far"],
+    )
+    def test_out_of_range_source_raises(self, trace, v):
+        with pytest.raises(InternalConsistencyError):
+            extract_monotone_trail(trace.graph, trace, v)
+
+
 # -- reference oracles ---------------------------------------------------
 #
 # The recursive extractor, the two-pass checker and the propagate()
@@ -525,3 +567,19 @@ class TestKeptTrailsMatchColdExtraction:
                         count,
                         v,
                     )
+
+    def test_window_reaches_past_the_last_kept_edge(self):
+        # trail 3 is 0 1 2 3 4 5 3, every edge labelled 3; trail 6 extends
+        # it by 4 6 and so repeats the edge {3,4}, which is not the kept
+        # trail's last edge; the window must still reach it
+        g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (4, 6)])
+        labels = (0, 3, 1, 3, 2, 3, 4)
+        record = {1: (0, 1), 2: (1, 1), 3: (5, 3), 4: (3, 2), 5: (3, 3), 6: (4, 4)}
+        warm = _hand_trace(g, {0}, labels, record)
+        assert extract_monotone_trail(g, warm, 3).vertices == (0, 1, 2, 3, 4, 5, 3)
+        cold = _outcome(extract_monotone_trail, g, replace(warm), 6)
+        assert _outcome(extract_monotone_trail, g, warm, 6) == cold
+        assert cold == (
+            "InternalConsistencyError",
+            "extracted trail for vertex 6 is invalid: edge {3,4} repeats",
+        )
