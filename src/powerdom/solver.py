@@ -198,13 +198,12 @@ def _branch_search(
                                 return k, hits
                 continue
             branch = min((nf & ~excluded for nf in missed), key=int.bit_count)
-            children = []
+            # highest bit pushed first, so the lowest is searched first; each
+            # child excludes the branch bits below its own
             while branch:
-                b = branch & -branch
-                children.append((s | b, excluded, room - 1, missed, seen))
-                excluded |= b
+                b = 1 << (branch.bit_length() - 1)
                 branch ^= b
-            stack.extend(reversed(children))
+                stack.append((s | b, excluded | branch, room - 1, missed, seen))
         if hits:
             return k, hits
     raise AssertionError("allowed always succeeds as a whole; unreachable")

@@ -181,7 +181,10 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     walk = []
     x = v
     while x not in kept:
-        w, _ = record[x]
+        try:
+            w, _ = record[x]
+        except KeyError:
+            raise InternalConsistencyError(f"observed vertex {x} has no forcing record") from None
         if not 0 <= w < n:
             raise InternalConsistencyError(f"recorded source {w} of {x} is out of range for n={n}")
         i = t[x]

@@ -9,7 +9,10 @@ forces ppt(T) <= diam(T) - 1.
 
 verify_tree_diameter_bound packages all of that as a checkable
 certificate; any failed assertion raises InternalConsistencyError since
-it would contradict a proved statement.
+it would contradict a proved statement. It reuses what is already known
+rather than propagating again: each witness's ppt as the solver reports
+it, and for the chosen set the one trace the trail is read from, whose
+completeness and step count check the repaired set's ppt.
 """
 
 from __future__ import annotations
@@ -51,20 +54,17 @@ def _check_tree(t: Graph) -> None:
         raise ValueError(f"tree analysis needs n >= 3, got n={t.n}")
 
 
-def _repair(t: Graph, s: FrozenSet[int]) -> FrozenSet[int]:
-    """Swap leaf seeds for their neighbors until none remain.
+def _repair(t: Graph, s: FrozenSet[int], ppt: int) -> FrozenSet[int]:
+    """Swap each leaf seed of s for its neighbor, smallest leaf first.
 
-    Assumes s is already known to be a minimum PDS. Each swap strictly
-    increases the total degree of the seed set (the neighbor of a leaf in
-    a tree with n >= 3 has degree >= 2), so the loop terminates.
+    s is a minimum PDS with propagation time ppt, as the caller already
+    knows it. The neighbor of a leaf in a tree with n >= 3 has degree >= 2,
+    so a swap neither makes a new leaf seed nor removes another one: one
+    ascending pass over the leaves of s makes the same swaps as swapping
+    the smallest leaf left until none remain.
     """
-    ppt_before = ppt_of_set(t, s)
     cur = set(s)
-    while True:
-        leaves = sorted(v for v in cur if t.degree(v) == 1)
-        if not leaves:
-            break
-        v = leaves[0]
+    for v in sorted(v for v in s if t.degree(v) == 1):
         (u,) = t.neighbors(v)
         if u in cur:
             # minimality would let us drop v outright, shrinking the set
@@ -78,7 +78,7 @@ def _repair(t: Graph, s: FrozenSet[int]) -> FrozenSet[int]:
                 f"replacing leaf {v} by {u} broke power domination"
             )
     result = frozenset(cur)
-    if len(result) != len(s) or ppt_of_set(t, result) > ppt_before:
+    if len(result) != len(s) or ppt_of_set(t, result) > ppt:
         raise InternalConsistencyError(
             "leaf repair changed cardinality or increased propagation time"
         )
@@ -97,7 +97,7 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
         raise ValueError(f"{sorted(seed)} is not a power dominating set")
     if len(seed) != gamma_p(t).gamma_p:
         raise ValueError(f"{sorted(seed)} is not a minimum power dominating set")
-    return _repair(t, seed)
+    return _repair(t, seed, ppt_of_set(t, seed))
 
 
 def verify_tree_diameter_bound(
@@ -110,51 +110,45 @@ def verify_tree_diameter_bound(
     _check_tree(t)
     diam = t.diameter()
     result = gamma_p(t, work_limit=work_limit)
+    ppt = result.ppt_graph
 
-    best_original = None
-    best_repaired = None
-    for witness in result.witnesses:
-        if witness.ppt != result.ppt_graph:
-            continue
-        repaired = _repair(t, frozenset(witness.vertices))
-        key = tuple(sorted(repaired))
-        if best_repaired is None or key < tuple(sorted(best_repaired)):
-            best_original = frozenset(witness.vertices)
-            best_repaired = repaired
-    if best_repaired is None:
+    # the least repaired set, from the first witness that gives it
+    best = min(
+        (
+            (tuple(sorted(_repair(t, frozenset(w.vertices), ppt))), w.vertices)
+            for w in result.witnesses
+            if w.ppt == ppt
+        ),
+        default=None,
+    )
+    if best is None:
         raise InternalConsistencyError("no witness achieves the graph's ppt")
+    repaired, original = best
 
-    ppt_original = result.ppt_graph
-    ppt_repaired = ppt_of_set(t, best_repaired)
-    if ppt_repaired != ppt_original:
+    trace = propagate(t, repaired)
+    if not (trace.complete and trace.steps == ppt):
         # repair cannot increase ppt, and the original already attains the minimum
         raise InternalConsistencyError(
-            f"repaired set has ppt {ppt_repaired}, expected {ppt_original}"
+            f"repaired set {list(repaired)} does not reach V in exactly {ppt} steps"
         )
-
-    trace = propagate(t, best_repaired)
-    t_max = max(trace.time_label)
-    v = min(u for u in range(t.n) if trace.time_label[u] == t_max)
-    trail = extract_monotone_trail(t, trace, v)
+    trail = extract_monotone_trail(t, trace, trace.time_label.index(ppt))
 
     if len(set(trail.vertices)) != len(trail.vertices):
         raise InternalConsistencyError(
             "trail in a tree revisits a vertex; expected a simple path"
         )
-    if trail.length < ppt_repaired + 1:
+    if trail.length < ppt + 1:
         raise InternalConsistencyError(
-            f"witness path length {trail.length} < ppt+1 = {ppt_repaired + 1}"
+            f"witness path length {trail.length} < ppt+1 = {ppt + 1}"
         )
-    if ppt_repaired + 1 > diam:
-        raise InternalConsistencyError(
-            f"ppt {ppt_repaired} exceeds diam-1 = {diam - 1}"
-        )
+    if ppt + 1 > diam:
+        raise InternalConsistencyError(f"ppt {ppt} exceeds diam-1 = {diam - 1}")
 
     return TreeCertificate(
-        original_set=best_original,
-        repaired_set=best_repaired,
-        ppt_original=ppt_original,
-        ppt_repaired=ppt_repaired,
+        original_set=frozenset(original),
+        repaired_set=frozenset(repaired),
+        ppt_original=ppt,
+        ppt_repaired=ppt,
         diam=diam,
         witness_trail=trail,
     )

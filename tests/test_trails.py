@@ -257,6 +257,15 @@ class TestCorruptRecordsRaise:
         with pytest.raises(InternalConsistencyError):
             extract_monotone_trail(trace.graph, trace, v)
 
+    def test_missing_record_raises(self):
+        # vertex 3 is observed at step 2 but the record has no entry for it
+        tr = propagate(gen_path(5), {1})
+        record = dict(tr.forcing_record)
+        del record[3]
+        trace = replace(tr, forcing_record=record)
+        with pytest.raises(InternalConsistencyError, match="no forcing record"):
+            extract_monotone_trail(trace.graph, trace, 4)
+
 
 # -- reference oracles ---------------------------------------------------
 #

@@ -1,11 +1,19 @@
 """Leaf-seed repair and the tree diameter certificate."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
+from powerdom.errors import InternalConsistencyError
 from powerdom.families import gen_cycle, gen_path, gen_random_tree, gen_spider, gen_star
-from powerdom.propagation import ppt_of_set
+from powerdom.propagation import is_pds, ppt_of_set, propagate
 from powerdom.solver import gamma_p
-from powerdom.tree_analysis import repair_leaf_seeds, verify_tree_diameter_bound
+from powerdom.trails import extract_monotone_trail
+from powerdom.tree_analysis import TreeCertificate, repair_leaf_seeds, verify_tree_diameter_bound
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestRepair:
@@ -98,3 +106,107 @@ class TestCertificate:
         g = gen_cycle(4)
         result = gamma_p(g)
         assert result.ppt_graph > g.diameter() - 1
+
+
+# -- reference certificate -----------------------------------------------
+#
+# The leaf repair, and the certificate's witness choice and trail, as they
+# stood before the repair took the solver's ppt and made one pass over the
+# leaves; copied unchanged apart from names, with the certificate's checks
+# left out. The certificates must agree with them field for field.
+
+
+def ref_repair(t, s):
+    ppt_before = ppt_of_set(t, s)
+    cur = set(s)
+    while True:
+        leaves = sorted(v for v in cur if t.degree(v) == 1)
+        if not leaves:
+            break
+        v = leaves[0]
+        (u,) = t.neighbors(v)
+        if u in cur:
+            # minimality would let us drop v outright, shrinking the set
+            raise InternalConsistencyError(
+                f"leaf seed {v} has its neighbor {u} already in the set"
+            )
+        cur.remove(v)
+        cur.add(u)
+        if not is_pds(t, cur):
+            raise InternalConsistencyError(
+                f"replacing leaf {v} by {u} broke power domination"
+            )
+    result = frozenset(cur)
+    if len(result) != len(s) or ppt_of_set(t, result) > ppt_before:
+        raise InternalConsistencyError(
+            "leaf repair changed cardinality or increased propagation time"
+        )
+    return result
+
+
+def ref_certificate(t):
+    diam = t.diameter()
+    result = gamma_p(t)
+
+    best_original = None
+    best_repaired = None
+    for witness in result.witnesses:
+        if witness.ppt != result.ppt_graph:
+            continue
+        repaired = ref_repair(t, frozenset(witness.vertices))
+        key = tuple(sorted(repaired))
+        if best_repaired is None or key < tuple(sorted(best_repaired)):
+            best_original = frozenset(witness.vertices)
+            best_repaired = repaired
+
+    ppt_original = result.ppt_graph
+    ppt_repaired = ppt_of_set(t, best_repaired)
+    trace = propagate(t, best_repaired)
+    t_max = max(trace.time_label)
+    v = min(u for u in range(t.n) if trace.time_label[u] == t_max)
+    trail = extract_monotone_trail(t, trace, v)
+    return TreeCertificate(
+        original_set=best_original,
+        repaired_set=best_repaired,
+        ppt_original=ppt_original,
+        ppt_repaired=ppt_repaired,
+        diam=diam,
+        witness_trail=trail,
+    )
+
+
+class TestMatchesReference:
+    def test_certificates_on_random_trees(self, random_trees_200):
+        for t in random_trees_200:
+            assert verify_tree_diameter_bound(t).to_json_dict() == ref_certificate(t).to_json_dict()
+
+    def test_certificates_on_paths_stars_spiders(self):
+        trees = (
+            [gen_path(n) for n in range(3, 13)]
+            + [gen_star(k) for k in range(2, 9)]
+            + [gen_spider(legs, leg_len) for legs in range(2, 6) for leg_len in range(1, 5)]
+        )
+        for t in trees:
+            assert verify_tree_diameter_bound(t).to_json_dict() == ref_certificate(t).to_json_dict()
+
+    def test_repair_of_every_minimum_witness(self, random_trees_200):
+        for t in random_trees_200[:40]:
+            for witness in gamma_p(t).witnesses:
+                assert repair_leaf_seeds(t, witness.vertices) == ref_repair(
+                    t, frozenset(witness.vertices)
+                )
+
+
+def test_benchmark_accepts_every_reference_tree_certificate():
+    # the benchmark's own tree-certificate check, loaded by path, unedited,
+    # on every tree its reference answers cover
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["sparse"]
+    keys = [key for key in ref if key.startswith("tree-")]
+    assert len(keys) == 480
+    for key in keys:
+        _, n, i = key.split("-")
+        g = workloads.pool_graph("tree", int(n), int(i))
+        workloads._check_tree_cert(g, verify_tree_diameter_bound(g), ref[key], key)
