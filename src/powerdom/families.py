@@ -19,7 +19,9 @@ that numbering minus one):
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graph import Graph, check_edge_count, check_vertex_count
 
@@ -103,55 +105,46 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     check_vertex_count(n)
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
     edges = []
-    # classic linear decode: repeatedly join the smallest current leaf
-    ptr = 0
-    leaf = -1
-    for x in prufer:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        edges.append((leaf, x))
+    # join each entry to the smallest current leaf (an ascending list is a
+    # heap); a final n - 1 joins the last two leaves, n - 1 being the larger
+    for x in prufer + [n - 1]:
+        edges.append((heappop(leaves), x))
         degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            leaf = -1
-            ptr += 1
-    if leaf < 0:
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    edges.append((leaf, n - 1))
+        if degree[x] == 1:
+            heappush(leaves, x)
     return Graph(n, edges)
 
 
 def gen_random_connected(n: int, m: int, seed: int) -> Graph:
-    """Random connected graph: a random spanning tree plus m-(n-1) extra edges."""
+    """Random connected graph: a random spanning tree plus m-(n-1) extra edges.
+
+    The extras are a uniform sample of the non-edges in lexicographic order.
+    random.sample reads only the population's length and the positions it
+    picks, so the positions come from a range and no non-edge is listed:
+    the one at position p is the pair of rank p plus the number of tree
+    edges whose rank, less their index, is at most p.
+    """
     if n < 1:
         raise ValueError(f"graph needs n >= 1, got {n}")
     check_vertex_count(n)
     max_m = n * (n - 1) // 2
-    # the non-edge list below has up to max_m entries whatever m is
+    # m may be any count up to n(n-1)/2, so that is the family's input bound
     check_edge_count(max_m)
     if not (n - 1 <= m <= max_m):
         raise ValueError(f"need n-1 <= m <= n(n-1)/2, got m={m} for n={n}")
-    tree = gen_random_tree(n, seed)
-    tree_edges = set(tree.edges())
+    edges = gen_random_tree(n, seed).edges()
     rng = random.Random(seed * 1_000_003 + n * 1009 + m)
-    non_edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in tree_edges
-    ]
-    extra = rng.sample(non_edges, m - (n - 1))
-    return Graph(n, sorted(tree_edges | set(extra)))
+    row_start = [u * (2 * n - u - 1) // 2 for u in range(n)]  # rank of (u, u+1)
+    non_edges_before = [row_start[u] + v - u - 1 - j for j, (u, v) in enumerate(edges)]
+    for p in rng.sample(range(max_m - (n - 1)), m - (n - 1)):
+        rank = p + bisect_right(non_edges_before, p)
+        u = bisect_right(row_start, rank) - 1
+        edges.append((u, rank - row_start[u] + u + 1))
+    return Graph(n, edges)

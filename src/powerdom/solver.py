@@ -277,8 +277,8 @@ def _representatives(g: Graph) -> int:
 
 def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
     reps = _representatives(g)
-    # growth stops at its fixed point, so a huge l costs no more than l = n
-    for balls in islice(g._grow_balls(), l + 1):
+    # growth stops by radius n - 1, so a larger l gives the same balls
+    for balls in islice(g._grow_balls(), min(l, g.n) + 1):
         pass
     pool = list(dict.fromkeys(ball & reps for ball in balls))
     return _branch_search(g, budget, pool, reps, l, True)[0]
@@ -292,7 +292,7 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     """
     if g.n == 0:
         raise ValueError("l-round power domination of the empty graph is undefined")
-    if l < 1:
+    if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
     budget = _Budget(work_limit)
     comps = g.components()

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, NotPowerDominatingError
 from .graph import Graph
-from .propagation import is_pds, ppt_of_set, propagate
+from .propagation import ppt_of_set, propagate
 from .solver import DEFAULT_WORK_LIMIT, gamma_p
 from .trails import MonotoneTrail, extract_monotone_trail
 
@@ -61,9 +61,11 @@ def _repair(t: Graph, s: FrozenSet[int], ppt: int) -> FrozenSet[int]:
     knows it. The neighbor of a leaf in a tree with n >= 3 has degree >= 2,
     so a swap neither makes a new leaf seed nor removes another one: one
     ascending pass over the leaves of s makes the same swaps as swapping
-    the smallest leaf left until none remain.
+    the smallest leaf left until none remain. One run per swap both checks
+    the set and gives its time, so the last run times the result.
     """
     cur = set(s)
+    steps = ppt
     for v in sorted(v for v in s if t.degree(v) == 1):
         (u,) = t.neighbors(v)
         if u in cur:
@@ -73,12 +75,14 @@ def _repair(t: Graph, s: FrozenSet[int], ppt: int) -> FrozenSet[int]:
             )
         cur.remove(v)
         cur.add(u)
-        if not is_pds(t, cur):
+        try:
+            steps = ppt_of_set(t, cur)
+        except NotPowerDominatingError:
             raise InternalConsistencyError(
                 f"replacing leaf {v} by {u} broke power domination"
-            )
+            ) from None
     result = frozenset(cur)
-    if len(result) != len(s) or ppt_of_set(t, result) > ppt:
+    if len(result) != len(s) or steps > ppt:
         raise InternalConsistencyError(
             "leaf repair changed cardinality or increased propagation time"
         )
@@ -93,11 +97,13 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
     """
     _check_tree(t)
     seed = frozenset(s)
-    if not is_pds(t, seed):
-        raise ValueError(f"{sorted(seed)} is not a power dominating set")
+    try:
+        ppt = ppt_of_set(t, seed)
+    except NotPowerDominatingError:
+        raise ValueError(f"{sorted(seed)} is not a power dominating set") from None
     if len(seed) != gamma_p(t).gamma_p:
         raise ValueError(f"{sorted(seed)} is not a minimum power dominating set")
-    return _repair(t, seed, ppt_of_set(t, seed))
+    return _repair(t, seed, ppt)
 
 
 def verify_tree_diameter_bound(

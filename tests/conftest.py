@@ -2,8 +2,14 @@
 
 The catalogs are one representative per isomorphism class; class counts
 are pinned against the known sequences in test_catalog. Random corpora
-use fixed seed schedules so every run sees the same graphs.
+use fixed seed schedules so every run sees the same graphs. The
+benchmark's sparse corpus and reference answers are loaded from
+perfbench by path, unedited.
 """
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +51,16 @@ def tree_corpus_schedule(count=200):
 def random_trees_200():
     """200 seeded random trees, 3 <= n <= 16."""
     return [gen_random_tree(n, seed) for n, seed in tree_corpus_schedule()]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_sparse():
+    """perfbench's workloads module and its reference answers for the sparse pools."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["sparse"]
+    return workloads, ref

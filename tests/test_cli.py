@@ -110,6 +110,11 @@ class TestLround:
         code, out, _ = run(capsys, "lround", "--l", "1000000000", p4_file)
         assert code == 0 and "= 1" in out
 
+    def test_l_past_sys_maxsize(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(gen_path(5))))
+        code, out, _ = run(capsys, "lround", "--l", "99999999999999999999", "-")
+        assert code == 0 and "= 1" in out
+
 
 class TestBounds:
     def test_h9_json(self, capsys, h9_file):

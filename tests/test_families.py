@@ -1,5 +1,8 @@
 """Generators: the counterexample family and the standard shapes."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from powerdom.families import (
@@ -12,7 +15,8 @@ from powerdom.families import (
     gen_spider,
     gen_star,
 )
-from powerdom.graph import check_edge_count
+from powerdom.graph import Graph, check_edge_count, check_vertex_count
+from powerdom.solver import gamma_p, l_round_number
 
 
 class TestHDelta:
@@ -172,3 +176,127 @@ class TestRandomConnected:
             gen_random_connected(5, 3, 0)
         with pytest.raises(ValueError):
             gen_random_connected(5, 11, 0)
+
+
+# -- reference generators -------------------------------------------------
+#
+# The random generators as they stood with the pointer decode and the
+# non-edge list, kept verbatim apart from names. The generators must build
+# the same graphs: the benchmark's reference answers and every seeded
+# corpus rest on them.
+
+
+def ref_gen_random_tree(n: int, seed: int) -> Graph:
+    """Uniform random labeled tree via Prufer sequence decoding."""
+    if n < 1:
+        raise ValueError(f"tree needs n >= 1, got {n}")
+    check_vertex_count(n)
+    if n == 1:
+        return Graph(1)
+    if n == 2:
+        return Graph(2, [(0, 1)])
+    rng = random.Random(seed)
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in prufer:
+        degree[x] += 1
+    edges = []
+    # classic linear decode: repeatedly join the smallest current leaf
+    ptr = 0
+    leaf = -1
+    for x in prufer:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = -1
+            ptr += 1
+    if leaf < 0:
+        while degree[ptr] != 1:
+            ptr += 1
+        leaf = ptr
+    edges.append((leaf, n - 1))
+    return Graph(n, edges)
+
+
+def ref_gen_random_connected(n: int, m: int, seed: int) -> Graph:
+    """Random connected graph: a random spanning tree plus m-(n-1) extra edges."""
+    if n < 1:
+        raise ValueError(f"graph needs n >= 1, got {n}")
+    check_vertex_count(n)
+    max_m = n * (n - 1) // 2
+    # the non-edge list below has up to max_m entries whatever m is
+    check_edge_count(max_m)
+    if not (n - 1 <= m <= max_m):
+        raise ValueError(f"need n-1 <= m <= n(n-1)/2, got m={m} for n={n}")
+    tree = ref_gen_random_tree(n, seed)
+    tree_edges = set(tree.edges())
+    rng = random.Random(seed * 1_000_003 + n * 1009 + m)
+    non_edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) not in tree_edges
+    ]
+    extra = rng.sample(non_edges, m - (n - 1))
+    return Graph(n, sorted(tree_edges | set(extra)))
+
+
+def _edge_counts(n):
+    max_m = n * (n - 1) // 2
+    return sorted({m for m in (n - 1, (5 * n + 2) // 4, (n - 1 + max_m) // 2, n + 3, max_m) if m <= max_m})
+
+
+class TestMatchesReferenceGenerators:
+    def test_trees(self):
+        cases = [(n, seed) for n in range(1, 40) for seed in range(25)]
+        # the sizes the sparse pools and the trace workload use
+        cases += [(n, 1000 * n + i) for n in range(11, 15) for i in range(120)]
+        cases += [(n, seed) for n in range(40, 80) for seed in range(5)]
+        for n, seed in cases:
+            assert gen_random_tree(n, seed).edges() == ref_gen_random_tree(n, seed).edges(), (n, seed)
+
+    def test_connected(self):
+        cases = [(n, m, seed) for n in range(1, 40) for m in _edge_counts(n) for seed in range(25)]
+        cases += [(n, m, seed) for n in (64, 65, 100) for m in _edge_counts(n) for seed in range(3)]
+        cases += [(300, m, 0) for m in _edge_counts(300)]
+        # the sizes the sparse pools and the trace workload use
+        cases += [(n, (5 * n + 2) // 4, 1000 * n + i) for n in range(12, 15) for i in range(120)]
+        cases += [(n, (5 * n + 2) // 4, seed) for n in range(30, 60) for seed in range(5)]
+        for n, m, seed in cases:
+            got = gen_random_connected(n, m, seed).edges()
+            assert got == ref_gen_random_connected(n, m, seed).edges(), (n, m, seed)
+
+    def test_connected_memory_grows_with_m_not_n_squared(self):
+        # about 2.1M non-edges at n = 2048; listing them peaked near 190 MB
+        tracemalloc.start()
+        try:
+            gen_random_connected(2048, 6000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def test_benchmark_reference_answers_on_every_sparse_pool_graph(perfbench_sparse):
+    # a generator that drifts from the graphs the reference answers were
+    # made on fails here, not only in the benchmark
+    workloads, ref = perfbench_sparse
+    assert len(ref) == 840
+    for key, want in ref.items():
+        kind, n, i = key.split("-")
+        g = workloads.pool_graph(kind, int(n), int(i))
+        result = gamma_p(g)
+        got = {
+            "gamma_p": result.gamma_p,
+            "witnesses": len(result.witnesses),
+            "ppt": result.ppt_graph,
+            "l1": l_round_number(g, 1),
+            "l2": l_round_number(g, 2),
+        }
+        assert got == {name: want[name] for name in got}, key

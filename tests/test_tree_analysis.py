@@ -1,9 +1,5 @@
 """Leaf-seed repair and the tree diameter certificate."""
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
 from powerdom.errors import InternalConsistencyError
@@ -12,8 +8,6 @@ from powerdom.propagation import is_pds, ppt_of_set, propagate
 from powerdom.solver import gamma_p
 from powerdom.trails import extract_monotone_trail
 from powerdom.tree_analysis import TreeCertificate, repair_leaf_seeds, verify_tree_diameter_bound
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestRepair:
@@ -197,13 +191,10 @@ class TestMatchesReference:
                 )
 
 
-def test_benchmark_accepts_every_reference_tree_certificate():
-    # the benchmark's own tree-certificate check, loaded by path, unedited,
-    # on every tree its reference answers cover
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    ref = json.loads((PERFBENCH / "reference.json").read_text())["sparse"]
+def test_benchmark_accepts_every_reference_tree_certificate(perfbench_sparse):
+    # the benchmark's own tree-certificate check on every tree its
+    # reference answers cover
+    workloads, ref = perfbench_sparse
     keys = [key for key in ref if key.startswith("tree-")]
     assert len(keys) == 480
     for key in keys:
