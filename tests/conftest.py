@@ -16,6 +16,8 @@ import pytest
 from powerdom.catalog import connected_graphs, nonisomorphic_graphs
 from powerdom.families import gen_random_connected, gen_random_tree
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 @pytest.fixture(scope="session")
 def catalog_all_8():
@@ -51,9 +53,6 @@ def tree_corpus_schedule(count=200):
 def random_trees_200():
     """200 seeded random trees, 3 <= n <= 16."""
     return [gen_random_tree(n, seed) for n, seed in tree_corpus_schedule()]
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")

@@ -111,7 +111,9 @@ class TestLround:
         assert code == 0 and "= 1" in out
 
     def test_l_past_sys_maxsize(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(gen_path(5))))
+        # powerdom gen path --n 5 | powerdom lround --l 99999999999999999999 -
+        assert main(["gen", "path", "--n", "5"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
         code, out, _ = run(capsys, "lround", "--l", "99999999999999999999", "-")
         assert code == 0 and "= 1" in out
 

@@ -295,10 +295,13 @@ class TestLRound:
         # balls stop growing by radius n - 1, so l = 10**20 needs no more of them
         assert l_round_number(gen_path(5), 10**20) == l_round_number(gen_path(5), 5)
 
-    @pytest.mark.parametrize("l", [0, 1.5])
-    def test_l_not_a_positive_integer_rejected(self, l):
+    def test_l_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            l_round_number(gen_path(3), 0)
+
+    def test_non_integer_l_rejected(self):
         with pytest.raises(ValueError, match="l must be a positive integer"):
-            l_round_number(gen_path(3), l)
+            l_round_number(gen_path(3), 1.5)
 
     def test_disconnected_sums(self):
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
