@@ -3,21 +3,39 @@
 Graphs on n vertices are generated from the catalog on n-1 vertices by
 canonical augmentation (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998). Each parent P is extended by a new vertex v
-attached to every possible neighbourhood, and the child C = P + v is kept
-only if v is the canonical vertex to delete from C: v must have the
-largest degree in C, then among the vertices tied with it the largest
-sorted list of neighbour degrees, then among those still tied the least
-certificate of C - t (C - v is P itself). The accepted children of one
-parent are deduplicated by their own certificates. The rule is exact:
+attached to one neighbourhood from each orbit of Aut(P) on the subsets of
+V(P), the least member of the orbit. The child C = P + v is kept only if v
+is the canonical vertex to delete from C: v must have the largest degree in
+C, then among the vertices tied with it the largest sorted list of
+neighbour degrees, then among those still tied the least certificate of
+C - t (C - v is P itself). This ranking is invariant under isomorphism.
+The rule is exact:
 
 - completeness: for any graph C, take the t* that ranks first (largest
   degree, then neighbour degrees, then least cert(C - t*)); C - t* is
   isomorphic to a catalogued parent P, and P extended by the image of
-  N(t*) is accepted and isomorphic to C;
-- uniqueness: if accepted children P1 + v1 and P2 + v2 are isomorphic by
-  f, then f(v1) and v2 both rank first in P2 + v2, so equal least
-  certificates give P1 = (P1 + v1) - v1 ~ (P2 + v2) - f(v1) ~ P2: the
-  same catalogued parent, whose per-parent dedupe removes the copy.
+  N(t*) is accepted and isomorphic to C. An automorphism of P that maps
+  one neighbourhood onto another extends to an isomorphism of the
+  children that fixes v, so the orbit's least member gives C as well;
+- uniqueness across parents: if accepted children P1 + v1 and P2 + v2 are
+  isomorphic by f, then f(v1) and v2 both rank first in P2 + v2, so equal
+  least certificates give P1 = (P1 + v1) - v1 ~ (P2 + v2) - f(v1) ~ P2:
+  the same catalogued parent;
+- uniqueness within a parent: call a child tied if some vertex t that is
+  not a twin of v (swapping t and v is not an automorphism) ranks first
+  with it, that is with cert(C - t) = cert(P). In an untied child the
+  vertices ranking first are v and its twins, which form one twin class.
+  An isomorphism f between two untied children maps v1 into v2's twin
+  class, so after a twin swap it maps v1 to v2 and restricts to an
+  automorphism of P taking N(v1) onto N(v2): the same orbit, extended
+  once. f maps twin classes onto twin classes, so a tied child, whose
+  first-ranked vertices span two classes, is never isomorphic to an
+  untied one. Only tied children are deduplicated, by their own
+  certificates.
+
+The least neighbourhood of an isomorphism class is the least member of
+its orbit and is met first, so each class keeps the representative it
+had when every accepted child was deduplicated by certificate.
 
 Sizes are capped at MAX_CATALOG_N; the known counts for n <= 8 are
 1, 2, 4, 11, 34, 156, 1044, 12346 graphs (of which 1, 1, 2, 6, 21, 112,
@@ -26,7 +44,9 @@ Sizes are capped at MAX_CATALOG_N; the known counts for n <= 8 are
 The certificate is a minimum adjacency code over all vertex orderings
 sorted by refined color, searched with prefix pruning and a twin skip
 (interchangeable vertices generate the same subtree), which keeps the
-degenerate symmetric cases like complete and empty graphs cheap.
+degenerate symmetric cases like complete and empty graphs cheap. The same
+search, run once per parent, yields generators of Aut(P): every ordering
+that reaches the least code, and every twin pair it skipped.
 """
 
 from __future__ import annotations
@@ -55,34 +75,44 @@ def _interchangeable(masks: list, a: int, b: int) -> bool:
     return masks[a] & ~(1 << b) == masks[b] & ~(1 << a)
 
 
-def certificate(n: int, masks: list) -> tuple:
-    """Canonical adjacency code: equal certificates iff isomorphic graphs.
+def _search(n: int, masks: list) -> tuple:
+    """The least adjacency code of a graph on n vertices, every ordering
+    that reaches it, and the twin pairs the search skipped.
 
     Row i of the code holds vertex i's adjacency bits to vertices placed
-    before it, minimized lexicographically over admissible orderings.
+    before it, minimized lexicographically over the orderings sorted by
+    refined color. Prefix pruning cuts only strictly larger prefixes, so
+    every ordering that reaches the least code and is not cut by a twin
+    skip is returned.
     """
-    if n == 0:
-        return (0,)
     colors = _refined_colors(n, masks)
     target = sorted(colors)
     best: tuple | None = None
+    orders: list = []
+    twins: set = set()
 
     def rec(placed: list, rows: list, remaining: set):
-        nonlocal best
+        nonlocal best, orders
         p = len(placed)
         if p == n:
             code = tuple(rows)
             if best is None or code < best:
                 best = code
+                orders = [tuple(placed)]
+            elif code == best:
+                orders.append(tuple(placed))
             return
         need = target[p]
         reps = []
         for v in sorted(remaining):
             if colors[v] != need:
                 continue
-            if any(_interchangeable(masks, u, v) for u in reps):
-                continue
-            reps.append(v)
+            for u in reps:
+                if _interchangeable(masks, u, v):
+                    twins.add((u, v))
+                    break
+            else:
+                reps.append(v)
         scored = []
         for v in reps:
             mv = masks[v]
@@ -104,7 +134,38 @@ def certificate(n: int, masks: list) -> tuple:
             remaining.add(v)
 
     rec([], [], set(range(n)))
-    return (n,) + best
+    return best, orders, twins
+
+
+def _generators(orders: list, twins: set) -> list:
+    """Generators of the automorphism group, each as the list of images of
+    the vertices, from the orderings and twin pairs that _search returns.
+
+    Two orderings with the same code differ by an automorphism, and a twin
+    pair (u, v) is the automorphism that swaps u and v. Every automorphism
+    maps the first ordering onto an ordering with the least code. A twin
+    skip at some depth maps the skipped subtree onto a searched one, since
+    neither vertex is placed yet, so by induction over depth every such
+    ordering is a returned one composed with twin swaps: these generate
+    the whole group.
+    """
+    base = orders[0]
+    gens = []
+    for order in orders[1:]:
+        perm = [0] * len(base)
+        for a, b in zip(base, order):
+            perm[a] = b
+        gens.append(perm)
+    for u, v in twins:
+        perm = list(range(len(base)))
+        perm[u], perm[v] = v, u
+        gens.append(perm)
+    return gens
+
+
+def certificate(n: int, masks: list) -> tuple:
+    """Canonical adjacency code: equal certificates iff isomorphic graphs."""
+    return (n,) + _search(n, masks)[0]
 
 
 def canonical_certificate(g: Graph) -> tuple:
@@ -137,20 +198,36 @@ def _canonical_children(parent: Graph) -> list:
     at = [0] * n
     for u, d in enumerate(deg):
         at[d] |= 1 << u
-    parent_cert = None
-    seen = set()
+    best, orders, twins = _search(v, pm)
+    parent_cert = (v,) + best
+    # each generator as the bit of every vertex's image
+    images = [[1 << w for w in perm] for perm in _generators(orders, twins)]
+    # marked[sub]: sub lies in the Aut(P)-orbit of a neighbourhood already met
+    marked = bytearray(hi)
+    tie_certs = set()
     out = []
-    for sub in range(1 << v):
+    for sub in range(hi):
         k = sub.bit_count()
         # a parent vertex of degree > k, or of degree k gaining v, outranks v
-        if k < top or sub & at[k]:
+        if k < top or sub & at[k] or marked[sub]:
             continue
+        stack = [sub]
+        while stack:
+            s = stack.pop()
+            for img in images:
+                t = 0
+                for u in _bits(s):
+                    t |= img[u]
+                if not marked[t]:
+                    marked[t] = 1
+                    stack.append(t)
         tied = at[k] & ~sub
         if k:
             tied |= sub & at[k - 1]
         masks = pm + [sub]
         for u in _bits(sub):
             masks[u] |= hi
+        tie = False
         if tied:
             cdeg = [m.bit_count() for m in masks]
             key = sorted(cdeg[u] for u in _bits(sub))
@@ -166,15 +243,21 @@ def _canonical_children(parent: Graph) -> list:
                     rivals.append(t)
             if outranked:
                 continue
-            if rivals:
-                if parent_cert is None:
-                    parent_cert = certificate(v, pm)
-                if any(certificate(v, _delete_vertex(masks, t)) < parent_cert for t in rivals):
-                    continue
-        cert = certificate(n, masks)
-        if cert not in seen:
-            seen.add(cert)
-            out.append(masks)
+            for t in rivals:
+                rival_cert = certificate(v, _delete_vertex(masks, t))
+                if rival_cert < parent_cert:
+                    outranked = True
+                    break
+                tie = tie or rival_cert == parent_cert
+            if outranked:
+                continue
+        # only a child whose new vertex ties with a non-twin can repeat a class
+        if tie:
+            cert = certificate(n, masks)
+            if cert in tie_certs:
+                continue
+            tie_certs.add(cert)
+        out.append(masks)
     return out
 
 

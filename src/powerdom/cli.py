@@ -75,8 +75,10 @@ def counterexample_demo(
     gamma_P is computed exactly through delta = 12; for larger delta the
     value 2 is certified instead: the standard 2-set witness must power
     dominate and every singleton must fail, which together pin gamma_P = 2
-    without enumerating all pairs. Verdicts compare exact rationals; the
-    decimal rendering is display-only.
+    without enumerating all pairs. A singleton outside N[F] for the fort F
+    that an earlier singleton's failed run left fails without a run of its
+    own. Verdicts compare exact rationals; the decimal rendering is
+    display-only.
     """
     if not (3 <= delta_min <= delta_max):
         raise ValueError(f"need 3 <= from <= to, got {delta_min}..{delta_max}")
@@ -97,12 +99,18 @@ def counterexample_demo(
                     f"construction witness {sorted(witness)} fails for delta={delta}"
                 )
             full = g.full_mask
+            # a PDS meets N[F] for every fort F, so only a vertex in every
+            # pooled N[V - final] can form a singleton PDS
+            reach = full
             for v in range(g.n):
+                if not reach >> v & 1:
+                    continue
                 final, _ = g.core.fixed_point(1 << v)
                 if final == full:
                     raise InternalConsistencyError(
                         f"singleton {{{v}}} power dominates H_{delta}"
                     )
+                reach &= g.closed_neighbourhood(full & ~final)
             gamma = 2
             mode = "certified"
         refuted = _refuted_bound(g.n, diam, deg)

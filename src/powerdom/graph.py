@@ -98,6 +98,15 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def closed_neighbourhood(self, mask: int) -> int:
+        """N[X] for the vertex set X given as a mask."""
+        out = mask
+        while mask:
+            b = mask & -mask
+            out |= self._masks[b.bit_length() - 1]
+            mask ^= b
+        return out
+
     @property
     def core(self) -> PropagationCore:
         """The (lazily built) propagation engine bound to this graph."""

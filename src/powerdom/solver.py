@@ -137,17 +137,10 @@ def _branch_search(
     run."""
     core = g.core
     full = g.full_mask
-    adj = g.adjacency_masks
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
-        fort = full & ~final
-        nf = fort
-        while fort:
-            b = fort & -fort
-            nf |= adj[b.bit_length() - 1]
-            fort ^= b
-        nf &= allowed
+        nf = g.closed_neighbourhood(full & ~final) & allowed
         pool.append(nf)
         return nf
 

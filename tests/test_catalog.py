@@ -9,12 +9,17 @@ from powerdom import catalog
 from powerdom.catalog import (
     MAX_CATALOG_N,
     _delete_vertex,
+    _generators,
+    _graph_from_masks,
+    _interchangeable,
+    _search,
     canonical_certificate,
+    certificate,
     connected_graphs,
     nonisomorphic_graphs,
 )
 from powerdom.families import gen_cycle, gen_path, gen_random_connected
-from powerdom.graph import Graph
+from powerdom.graph import Graph, _bits
 
 # known class counts; the enumerator must reproduce them exactly
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -23,6 +28,100 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 def permuted(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _oracle_canonical_children(parent: Graph) -> list:
+    """The generator before orbit pruning, kept verbatim as the reference:
+    every accepted child is deduplicated by its own certificate."""
+    pm = list(parent.adjacency_masks)
+    v = len(pm)
+    n = v + 1
+    hi = 1 << v
+    deg = [m.bit_count() for m in pm]
+    top = max(deg)
+    # at[d]: the parent vertices of degree d
+    at = [0] * n
+    for u, d in enumerate(deg):
+        at[d] |= 1 << u
+    parent_cert = None
+    seen = set()
+    out = []
+    for sub in range(1 << v):
+        k = sub.bit_count()
+        # a parent vertex of degree > k, or of degree k gaining v, outranks v
+        if k < top or sub & at[k]:
+            continue
+        tied = at[k] & ~sub
+        if k:
+            tied |= sub & at[k - 1]
+        masks = pm + [sub]
+        for u in _bits(sub):
+            masks[u] |= hi
+        if tied:
+            cdeg = [m.bit_count() for m in masks]
+            key = sorted(cdeg[u] for u in _bits(sub))
+            rivals = []
+            outranked = False
+            for t in _bits(tied):
+                tkey = sorted(cdeg[u] for u in _bits(masks[t]))
+                if tkey > key:
+                    outranked = True
+                    break
+                # deleting a twin of v leaves a copy of P, so the twin cannot beat v
+                if tkey == key and not _interchangeable(masks, t, v):
+                    rivals.append(t)
+            if outranked:
+                continue
+            if rivals:
+                if parent_cert is None:
+                    parent_cert = certificate(v, pm)
+                if any(certificate(v, _delete_vertex(masks, t)) < parent_cert for t in rivals):
+                    continue
+        cert = certificate(n, masks)
+        if cert not in seen:
+            seen.add(cert)
+            out.append(masks)
+    return out
+
+
+def _oracle_catalog(max_n: int) -> dict:
+    """Levels 1..max_n built by the reference generator."""
+    levels = {1: [Graph(1)]}
+    for n in range(2, max_n + 1):
+        levels[n] = [
+            _graph_from_masks(n, masks)
+            for g in levels[n - 1]
+            for masks in _oracle_canonical_children(g)
+        ]
+    return levels
+
+
+def _automorphisms(g: Graph) -> set:
+    """Every automorphism of g, by trying all n! permutations."""
+    masks = g.adjacency_masks
+    found = set()
+    for perm in itertools.permutations(range(g.n)):
+        if all(
+            sum(1 << perm[w] for w in _bits(masks[u])) == masks[perm[u]]
+            for u in range(g.n)
+        ):
+            found.add(perm)
+    return found
+
+
+def _closure(n: int, gens: list) -> set:
+    """The group the permutations in gens generate."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for gen in gens:
+            q = tuple(gen[p[u]] for u in range(n))
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
 
 
 class TestCounts:
@@ -56,6 +155,42 @@ class TestCounts:
         del first[:10]
         assert len(nonisomorphic_graphs(5)) == ALL_COUNTS[5]
         assert len(connected_graphs(5)) == CONNECTED_COUNTS[5]
+
+
+class TestOrbitGeneration:
+    def test_equals_the_reference_generator(self):
+        levels = _oracle_catalog(7)
+        for n in range(1, 8):
+            got = [g.adjacency_masks for g in nonisomorphic_graphs(n)]
+            assert got == [g.adjacency_masks for g in levels[n]]
+
+    def test_generators_span_the_automorphism_group(self):
+        graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+        graphs += [
+            Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+            Graph(7),
+            Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]),
+            gen_cycle(7),
+        ]
+        for g in graphs:
+            masks = list(g.adjacency_masks)
+            best, orders, twins = _search(g.n, masks)
+            assert certificate(g.n, masks) == (g.n,) + best
+            assert _closure(g.n, _generators(orders, twins)) == _automorphisms(g), g
+
+    def test_cold_build_makes_few_certificates(self, monkeypatch):
+        calls = []
+        real = catalog.certificate
+
+        def counted(n, masks):
+            calls.append(n)
+            return real(n, masks)
+
+        monkeypatch.setattr(catalog, "certificate", counted)
+        monkeypatch.setattr(catalog, "_ALL", {})
+        assert len(nonisomorphic_graphs(7)) == ALL_COUNTS[7]
+        # the per-parent dedupe of every accepted child made 3,199
+        assert len(calls) < 1000
 
 
 class TestCertificate:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerdom import graph
 from powerdom.cli import counterexample_demo, main
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.graph import parse_graph, write_graph
@@ -260,6 +261,27 @@ class TestDemo:
         rows = counterexample_demo(12, 13)
         assert [r["gamma_mode"] for r in rows] == ["exact", "certified"]
         assert all(r["gamma_p"] == 2 for r in rows)
+
+    def test_certified_rows_refute_singletons_through_forts(self, monkeypatch):
+        real = graph.PropagationCore
+        runs = []
+
+        class CountingCore:
+            def __init__(self, adj_masks, n):
+                self._core = real(adj_masks, n)
+
+            def fixed_point(self, start):
+                runs.append(start)
+                return self._core.fixed_point(start)
+
+            def layer_masks(self, start):
+                return self._core.layer_masks(start)
+
+        monkeypatch.setattr(graph, "PropagationCore", CountingCore)
+        rows = counterexample_demo(13, 16)
+        assert [r["gamma_mode"] for r in rows] == ["certified"] * 4
+        # one run per singleton, 850 in all, without the fort pool
+        assert len(runs) < 100
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "demo", "--from", "2", "--to", "4")
