@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DisconnectedGraphError
 from .graph import Graph
-from .solver import DEFAULT_WORK_LIMIT, gamma_p
+from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -114,11 +114,13 @@ def refuted_diameter_bound(g: Graph) -> Fraction:
 
 
 def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
-    """ceil((|V| - gamma_P) / (gamma_P * Delta)); needs n >= 2 so Delta >= 1."""
+    """ceil((|V| - gamma_P) / (gamma_P * Delta)); needs n >= 2 so Delta >= 1.
+
+    Only gamma_P is needed, so the search stops at its first hit."""
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
-    gp = gamma_p(g, work_limit=work_limit).gamma_p
+    gp, _ = _least_pds(g, work_limit)
     return _ppt_bound(g.n, gp, g.max_degree())
 
 

@@ -17,6 +17,7 @@ exceeded, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -31,12 +32,13 @@ from .errors import (
 )
 from .graph import Graph, check_vertex_count, parse_graph, write_graph
 from .propagation import is_pds, propagate
-from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
+from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p, l_round_number, ppt_graph
 from .trails import extract_monotone_trail
 from .tree_analysis import verify_tree_diameter_bound
 
-# largest delta solved exactly by the demo; beyond it gamma_P = 2 is
-# certified by the 2-set witness plus exhaustive singleton refutation
+# largest delta whose demo row is found by the uncapped first-hit search;
+# beyond it gamma_P = 2 is certified by the 2-set witness and a search
+# capped at one vertex that finds no hit
 EXACT_DEMO_DELTA = 12
 
 
@@ -72,13 +74,14 @@ def counterexample_demo(
 ) -> list:
     """One report row per delta in [delta_min, delta_max].
 
-    gamma_P is computed exactly through delta = 12; for larger delta the
-    value 2 is certified instead: the standard 2-set witness must power
-    dominate and every singleton must fail, which together pin gamma_P = 2
-    without enumerating all pairs. A singleton outside N[F] for the fort F
-    that an earlier singleton's failed run left fails without a run of its
-    own. Verdicts compare exact rationals; the decimal rendering is
-    display-only.
+    Both modes run the solver's fort search with its first hit ending the
+    search. Through delta = EXACT_DEMO_DELTA the search is uncapped: every
+    smaller cardinality is exhausted before the first hit, so its size is
+    exact gamma_P without the witness list. For larger delta the value 2
+    is certified instead: the standard 2-set witness must power dominate,
+    and the search capped at one vertex must find no hit, which proves
+    that no singleton does. Verdicts compare exact rationals; the decimal
+    rendering is display-only.
     """
     if not (3 <= delta_min <= delta_max):
         raise ValueError(f"need 3 <= from <= to, got {delta_min}..{delta_max}")
@@ -90,7 +93,7 @@ def counterexample_demo(
         diam = g.diameter()
         deg = g.max_degree()
         if delta <= EXACT_DEMO_DELTA:
-            gamma = gamma_p(g, work_limit=work_limit).gamma_p
+            gamma, _ = _least_pds(g, work_limit)
             mode = "exact"
         else:
             witness = {0, delta + 1}
@@ -98,19 +101,11 @@ def counterexample_demo(
                 raise InternalConsistencyError(
                     f"construction witness {sorted(witness)} fails for delta={delta}"
                 )
-            full = g.full_mask
-            # a PDS meets N[F] for every fort F, so only a vertex in every
-            # pooled N[V - final] can form a singleton PDS
-            reach = full
-            for v in range(g.n):
-                if not reach >> v & 1:
-                    continue
-                final, _ = g.core.fixed_point(1 << v)
-                if final == full:
-                    raise InternalConsistencyError(
-                        f"singleton {{{v}}} power dominates H_{delta}"
-                    )
-                reach &= g.closed_neighbourhood(full & ~final)
+            hit = _least_pds(g, work_limit, k_max=1)
+            if hit is not None:
+                raise InternalConsistencyError(
+                    f"singleton {{{hit[1][0]}}} power dominates H_{delta}"
+                )
             gamma = 2
             mode = "certified"
         refuted = _refuted_bound(g.n, diam, deg)
@@ -252,6 +247,8 @@ def _cmd_demo(args) -> tuple:
     return payload, "\n".join(lines)
 
 
+# built once per process, since parse_args leaves the tree as it found it
+@functools.cache
 def _build_parser() -> _Parser:
     # every leaf command takes --json; the ones that search also take --limit
     plain = argparse.ArgumentParser(add_help=False)

@@ -32,9 +32,20 @@ a cap on work (one unit per search node, plus one per combined witness on
 a disconnected graph) turns runaway inputs into SearchBudgetExceeded
 rather than an approximate answer.
 
+The search can also stop at a cap k_max on the cardinality. The argument
+above holds for any successful set T of k allowed vertices, minimum or
+not, once every smaller k has found nothing: the search at k reaches T.
+Every k up to the cap is searched in full, so a search that reaches the
+cap with no hit proves that no set of at most k_max allowed vertices
+succeeds. When only the number is wanted, the first hit ends the search:
+every k' < k was exhausted before it, so k is exact without the witness
+list.
+
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
-a combined witness is the max over its parts.
+a combined witness is the max over its parts. The parts are chosen
+independently, so the least ppt over combined witnesses is the max over
+components of each component's least, and ppt_graph never builds them.
 
 The l-round number uses the same search, changed in four ways.
 (1) Its S are sets of representatives: vertex x is skipped when some
@@ -128,15 +139,23 @@ class _Budget:
 
 
 def _branch_search(
-    g: Graph, budget: _Budget, pool: list[int], allowed: int, l: int, first_only: bool
-) -> tuple[int, list[tuple[tuple, int]]]:
+    g: Graph,
+    budget: _Budget,
+    pool: list[int],
+    allowed: int,
+    l: int,
+    first_only: bool,
+    k_max: int | None = None,
+) -> tuple[int, list[tuple[tuple, int]]] | None:
     """The least k at which some S inside allowed, |S| = k, reaches V within
     l steps, with the hits (S as a vertex tuple, steps) at that k: the first
-    one if first_only, else all. pool holds sets inside allowed that every
+    one if first_only, else all. None if no such S has |S| <= k_max (no
+    cap when k_max is None). pool holds sets inside allowed that every
     such S meets; the search appends N[V - final] & allowed for each failed
     run."""
     core = g.core
     full = g.full_mask
+    top = allowed.bit_count() if k_max is None else min(k_max, allowed.bit_count())
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
@@ -144,7 +163,7 @@ def _branch_search(
         pool.append(nf)
         return nf
 
-    for k in range(1, allowed.bit_count() + 1):
+    for k in range(1, top + 1):
         budget.k = k
         hits = []
         # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
@@ -199,7 +218,23 @@ def _branch_search(
                 stack.append((s | b, excluded | branch, room - 1, missed, seen))
         if hits:
             return k, hits
-    raise AssertionError("allowed always succeeds as a whole; unreachable")
+    if k_max is None:
+        raise AssertionError("allowed always succeeds as a whole; unreachable")
+    return None
+
+
+def _least_pds(
+    g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, k_max: int | None = None
+) -> tuple[int, tuple] | None:
+    """For a connected g: (k, S), with k = gamma_P(g) and S the first
+    power dominating set the search reaches at k, or None if no power
+    dominating set has at most k_max vertices."""
+    full = g.full_mask
+    found = _branch_search(g, _Budget(work_limit), [full], full, g.n, True, k_max)
+    if found is None:
+        return None
+    k, hits = found
+    return k, hits[0][0]
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
@@ -243,8 +278,15 @@ def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
 
 
 def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
-    """ppt(G): minimum propagation time over all minimum power dominating sets."""
-    return gamma_p(g, work_limit=work_limit).ppt_graph
+    """ppt(G): minimum propagation time over all minimum power dominating
+    sets, the max over components of each one's least."""
+    if g.n == 0:
+        raise ValueError("gamma_P of the empty graph is undefined")
+    budget = _Budget(work_limit)
+    comps = g.components()
+    if len(comps) == 1:
+        return _gamma_connected(g, budget).ppt_graph
+    return max(_gamma_connected(g.subgraph(comp), budget).ppt_graph for comp in comps)
 
 
 def _representatives(g: Graph) -> int:

@@ -62,6 +62,13 @@ class TestReports:
         assert rep.ppt_lower_bound == 2 == rep.ppt_graph
         assert ppt_lower_bound(g) == 2
 
+    def test_ppt_bound_matches_the_report_on_the_catalog(self, catalog_conn_8):
+        # ppt_lower_bound stops at the first hit; the report lists every witness
+        graphs = [g for g in catalog_conn_8 if 2 <= g.n <= 7]
+        assert len(graphs) == 995
+        for g in graphs:
+            assert ppt_lower_bound(g) == bounds_report(g).ppt_lower_bound, g.edges()
+
     def test_tree_bound_values(self):
         assert tree_lower_bound(gen_path(4)) == 1
         assert tree_lower_bound(gen_star(5)) == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerdom import graph
-from powerdom.cli import counterexample_demo, main
+from powerdom.cli import _build_parser, counterexample_demo, main
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.graph import parse_graph, write_graph
 
@@ -241,6 +241,26 @@ class TestVerifyTree:
         assert code == 2 and out == "" and "work limit of 3 exceeded" in err
 
 
+def _count_kernel_runs(monkeypatch) -> list:
+    """Record the start mask of every fixed_point call on graphs built from now."""
+    real = graph.PropagationCore
+    runs = []
+
+    class CountingCore:
+        def __init__(self, adj_masks, n):
+            self._core = real(adj_masks, n)
+
+        def fixed_point(self, start):
+            runs.append(start)
+            return self._core.fixed_point(start)
+
+        def layer_masks(self, start):
+            return self._core.layer_masks(start)
+
+    monkeypatch.setattr(graph, "PropagationCore", CountingCore)
+    return runs
+
+
 class TestDemo:
     def test_table_threshold(self, capsys):
         code, out, _ = run(capsys, "demo", "--from", "3", "--to", "9")
@@ -263,25 +283,23 @@ class TestDemo:
         assert all(r["gamma_p"] == 2 for r in rows)
 
     def test_certified_rows_refute_singletons_through_forts(self, monkeypatch):
-        real = graph.PropagationCore
-        runs = []
-
-        class CountingCore:
-            def __init__(self, adj_masks, n):
-                self._core = real(adj_masks, n)
-
-            def fixed_point(self, start):
-                runs.append(start)
-                return self._core.fixed_point(start)
-
-            def layer_masks(self, start):
-                return self._core.layer_masks(start)
-
-        monkeypatch.setattr(graph, "PropagationCore", CountingCore)
+        runs = _count_kernel_runs(monkeypatch)
         rows = counterexample_demo(13, 16)
         assert [r["gamma_mode"] for r in rows] == ["certified"] * 4
         # one run per singleton, 850 in all, without the fort pool
         assert len(runs) < 100
+
+    def test_exact_rows_stop_at_the_first_hit(self, monkeypatch):
+        runs = _count_kernel_runs(monkeypatch)
+        rows = counterexample_demo(3, 16)
+        assert [r["gamma_p"] for r in rows] == [2] * 14
+        # listing and running every minimum PDS through delta = 12 took 1,105
+        assert len(runs) < 300
+
+    def test_limit_reaches_the_certified_rows(self, capsys):
+        # the capped search charges one unit per node, 171 on H_13
+        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "50")
+        assert code == 2 and out == "" and "work limit" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "demo", "--from", "2", "--to", "4")
@@ -308,6 +326,51 @@ class TestExitCodes:
     def test_budget_exit_two(self, capsys, h9_file):
         code, _, err = run(capsys, "gamma", h9_file, "--limit", "10")
         assert code == 2 and "work limit" in err
+
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            (
+                ["gamma", "--help"],
+                (
+                    0,
+                    "usage: powerdom gamma [-h] [--json] [--limit N] graph\n\n"
+                    "positional arguments:\n"
+                    "  graph       graph file, or - for stdin\n\n"
+                    "options:\n"
+                    "  -h, --help  show this help message and exit\n"
+                    "  --json      emit JSON\n"
+                    "  --limit N   solver work cap in search nodes\n",
+                    "",
+                ),
+            ),
+            (
+                ["gamma"],
+                (
+                    1,
+                    "",
+                    "usage: powerdom gamma [-h] [--json] [--limit N] graph\n"
+                    "powerdom gamma: error: the following arguments are required: graph\n",
+                ),
+            ),
+            (
+                ["gen", "path", "--n", "4"],
+                (0, "# family: path n=4\n4 3\n0 1\n1 2\n2 3\n", ""),
+            ),
+        ],
+        ids=["help", "usage-error", "gen"],
+    )
+    def test_parser_built_once_gives_the_same_bytes(self, capsys, monkeypatch, argv, expect):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first == expect
+        assert _build_parser() is _build_parser()
+
+    def test_top_level_help_matches_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expect = _build_parser.__wrapped__().format_help()
+        assert run(capsys, "--help") == run(capsys, "--help") == (0, expect, "")
+        assert "verify-tree" in expect and "demo       counterexample family report" in expect
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

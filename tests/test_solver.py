@@ -25,6 +25,7 @@ from powerdom.solver import (
     PdsSolution,
     _Budget,
     _l_round_connected,
+    _least_pds,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -272,6 +273,44 @@ class TestDisconnected:
         assert result.gamma_p == 3
         assert result.witnesses[0].vertices == (0, 1, 2)
         assert result.ppt_graph == 0
+
+    def test_ppt_without_the_witness_product(self):
+        # eight disjoint C_10: 10^8 combined witnesses, none of them built
+        g = Graph(80, [(10 * c + i, 10 * c + (i + 1) % 10) for c in range(8) for i in range(10)])
+        assert ppt_graph(g) == 5
+
+    def test_ppt_matches_the_combined_witnesses(self, catalog_all_8):
+        unions = [g for g in catalog_all_8 if g.n <= 6 and not g.is_connected()]
+        # every graph on at most 6 vertices less the connected ones
+        assert len(unions) == 65
+        for g in unions:
+            assert ppt_graph(g) == gamma_p(g).ppt_graph, g.edges()
+
+
+class TestCap:
+    """The first-hit search against gamma_p: exact uncapped, no hit below
+    gamma_P, and a power dominating set at it."""
+
+    @staticmethod
+    def corpus(catalog_conn_8):
+        yield from (g for g in catalog_conn_8 if g.n <= 7)
+        yield from (gen_h_delta(delta)[0] for delta in range(3, 9))
+
+    def test_capped_search_matches_gamma_p(self, catalog_conn_8):
+        for g in self.corpus(catalog_conn_8):
+            gp = gamma_p(g).gamma_p
+            k, hit = _least_pds(g)
+            assert k == gp and len(hit) == gp and is_pds(g, hit), g.edges()
+            assert _least_pds(g, k_max=gp - 1) is None, g.edges()
+            k, hit = _least_pds(g, k_max=gp)
+            assert k == gp and len(hit) == gp and is_pds(g, hit), g.edges()
+
+    def test_cap_is_charged(self):
+        # H_9: the root and one leaf per vertex at k = 1
+        g, _ = gen_h_delta(9)
+        assert _least_pds(g, work_limit=83, k_max=1) is None
+        with pytest.raises(SearchBudgetExceeded):
+            _least_pds(g, work_limit=82, k_max=1)
 
 
 class TestLRound:
