@@ -120,8 +120,7 @@ def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
-    gp, _ = _least_pds(g, work_limit)
-    return _ppt_bound(g.n, gp, g.max_degree())
+    return _ppt_bound(g.n, len(_least_pds(g, work_limit)), g.max_degree())
 
 
 def tree_lower_bound(g: Graph) -> int:

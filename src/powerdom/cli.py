@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _work_limit(text: str) -> int:
+    """Type of --limit: a count of work units, so a negative one is a usage
+    error rather than a limit exceeded before the search starts."""
+    try:
+        if (limit := int(text)) >= 0:
+            return limit
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"work limit must be a non-negative integer, got {text!r}")
+
+
 def _fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator} ≈ {float(q):.3f}"
 
@@ -89,11 +100,11 @@ def counterexample_demo(
     check_vertex_count(delta_max * delta_max + 1)
     rows = []
     for delta in range(delta_min, delta_max + 1):
-        g, spec = families.gen_h_delta(delta)
+        g, _ = families.gen_h_delta(delta)
         diam = g.diameter()
         deg = g.max_degree()
         if delta <= EXACT_DEMO_DELTA:
-            gamma, _ = _least_pds(g, work_limit)
+            gamma = len(_least_pds(g, work_limit))
             mode = "exact"
         else:
             witness = {0, delta + 1}
@@ -101,11 +112,8 @@ def counterexample_demo(
                 raise InternalConsistencyError(
                     f"construction witness {sorted(witness)} fails for delta={delta}"
                 )
-            hit = _least_pds(g, work_limit, k_max=1)
-            if hit is not None:
-                raise InternalConsistencyError(
-                    f"singleton {{{hit[1][0]}}} power dominates H_{delta}"
-                )
+            if (hit := _least_pds(g, work_limit, k_max=1)) is not None:
+                raise InternalConsistencyError(f"singleton {{{hit[0]}}} power dominates H_{delta}")
             gamma = 2
             mode = "certified"
         refuted = _refuted_bound(g.n, diam, deg)
@@ -256,7 +264,7 @@ def _build_parser() -> _Parser:
     solving = argparse.ArgumentParser(add_help=False, parents=[plain])
     solving.add_argument(
         "--limit",
-        type=int,
+        type=_work_limit,
         default=DEFAULT_WORK_LIMIT,
         metavar="N",
         help="solver work cap in search nodes",

@@ -37,9 +37,9 @@ above holds for any successful set T of k allowed vertices, minimum or
 not, once every smaller k has found nothing: the search at k reaches T.
 Every k up to the cap is searched in full, so a search that reaches the
 cap with no hit proves that no set of at most k_max allowed vertices
-succeeds. When only the number is wanted, the first hit ends the search:
-every k' < k was exhausted before it, so k is exact without the witness
-list.
+succeeds. The search yields its hits at the least k; a caller that needs
+only the number takes the first: every k' < k was exhausted before it,
+so k is exact without the witness list.
 
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
@@ -68,7 +68,7 @@ a vertex outside S, for S is not an l-round PDS, so the node branches on
 the representatives outside S and excluded, which T meets; T is still
 reached exactly once. A run within l steps at |S| < k cannot happen: S
 would be an l-round PDS of |S| representatives, which the search at
-k = |S| reaches. (4) The first hit ends the search; by the above no
+k = |S| reaches. (4) Only the first hit is taken; by the above no
 smaller set of representatives succeeds, so k is the l-round number.
 gamma_p runs the same search over all of V with pool [V], no binding
 step limit, and every hit collected. It does not prune by
@@ -79,6 +79,7 @@ leaf.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
@@ -144,15 +145,14 @@ def _branch_search(
     pool: list[int],
     allowed: int,
     l: int,
-    first_only: bool,
     k_max: int | None = None,
-) -> tuple[int, list[tuple[tuple, int]]] | None:
-    """The least k at which some S inside allowed, |S| = k, reaches V within
-    l steps, with the hits (S as a vertex tuple, steps) at that k: the first
-    one if first_only, else all. None if no such S has |S| <= k_max (no
-    cap when k_max is None). pool holds sets inside allowed that every
-    such S meets; the search appends N[V - final] & allowed for each failed
-    run."""
+) -> Iterator[tuple[tuple, int]]:
+    """Yield (S as a vertex tuple, steps) for every S inside allowed that
+    reaches V within l steps, at the least k = |S| where one does, then
+    stop. Nothing is yielded if no such S has |S| <= k_max (no cap when
+    k_max is None). A caller that needs only k takes the first hit. pool
+    holds sets inside allowed that every such S meets; the search appends
+    N[V - final] & allowed for each failed run."""
     core = g.core
     full = g.full_mask
     top = allowed.bit_count() if k_max is None else min(k_max, allowed.bit_count())
@@ -165,7 +165,7 @@ def _branch_search(
 
     for k in range(1, top + 1):
         budget.k = k
-        hits = []
+        found = False
         # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
         # it saw); the nodes with one vertex left run their children inline
         stack = [(0, 0, k, (), 0)]
@@ -205,9 +205,8 @@ def _branch_search(
                         if final != full:
                             add_fort(final)
                         elif steps <= l:
-                            hits.append((tuple(_bits(leaf)), steps))
-                            if first_only:
-                                return k, hits
+                            found = True
+                            yield tuple(_bits(leaf)), steps
                 continue
             branch = min((nf & ~excluded for nf in missed), key=int.bit_count)
             # highest bit pushed first, so the lowest is searched first; each
@@ -216,53 +215,56 @@ def _branch_search(
                 b = 1 << (branch.bit_length() - 1)
                 branch ^= b
                 stack.append((s | b, excluded | branch, room - 1, missed, seen))
-        if hits:
-            return k, hits
+        if found:
+            return
     if k_max is None:
         raise AssertionError("allowed always succeeds as a whole; unreachable")
-    return None
 
 
 def _least_pds(
     g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, k_max: int | None = None
-) -> tuple[int, tuple] | None:
-    """For a connected g: (k, S), with k = gamma_P(g) and S the first
-    power dominating set the search reaches at k, or None if no power
-    dominating set has at most k_max vertices."""
+) -> tuple | None:
+    """For a connected g: the first power dominating set the search reaches,
+    of gamma_P(g) vertices, or None if none has at most k_max vertices. The
+    search yields its hits at the least k; this takes the first."""
     full = g.full_mask
-    found = _branch_search(g, _Budget(work_limit), [full], full, g.n, True, k_max)
-    if found is None:
-        return None
-    k, hits = found
-    return k, hits[0][0]
+    hit = next(_branch_search(g, _Budget(work_limit), [full], full, g.n, k_max), None)
+    return None if hit is None else hit[0]
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
     # V is a fort with N[V] = V, and no run takes more than n steps
-    k, hits = _branch_search(g, budget, [g.full_mask], g.full_mask, g.n, False)
-    hits.sort()
+    hits = sorted(_branch_search(g, budget, [g.full_mask], g.full_mask, g.n))
     return GammaResult(
-        gamma_p=k,
+        gamma_p=len(hits[0][0]),
         witnesses=tuple(PdsSolution(*hit) for hit in hits),
         ppt_graph=min(steps for _, steps in hits),
     )
 
 
+def _per_component(g: Graph, budget: _Budget, solve: Callable) -> tuple[list, list]:
+    """The components' vertex lists and solve(component, budget) for each;
+    ValueError if g is empty. Propagation never crosses components, so each
+    is solved alone; a connected g is solved as itself, without a copy."""
+    comps = g.components()
+    if not comps:
+        raise ValueError("power domination of the empty graph is undefined")
+    if len(comps) == 1:
+        return comps, [solve(g, budget)]
+    return comps, [solve(g.subgraph(comp), budget) for comp in comps]
+
+
 def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
     """Exact gamma_P(G) with every minimum power dominating set."""
-    if g.n == 0:
-        raise ValueError("gamma_P of the empty graph is undefined")
     budget = _Budget(work_limit)
-    comps = g.components()
-    if len(comps) == 1:
-        return _gamma_connected(g, budget)
-
-    partials = [_gamma_connected(g.subgraph(comp), budget) for comp in comps]
+    comps, parts = _per_component(g, budget, _gamma_connected)
+    if len(parts) == 1:
+        return parts[0]
     # charge the combined witnesses before building them
-    budget.k = sum(r.gamma_p for r in partials)
-    budget.spend(prod(len(r.witnesses) for r in partials))
+    budget.k = sum(r.gamma_p for r in parts)
+    budget.spend(prod(len(r.witnesses) for r in parts))
     witnesses = []
-    for choice in product(*(r.witnesses for r in partials)):
+    for choice in product(*(r.witnesses for r in parts)):
         vertices = []
         for comp, sol in zip(comps, choice):
             vertices.extend(comp[i] for i in sol.vertices)
@@ -271,22 +273,17 @@ def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
         )
     witnesses.sort(key=lambda w: w.vertices)
     return GammaResult(
-        gamma_p=sum(r.gamma_p for r in partials),
+        gamma_p=budget.k,
         witnesses=tuple(witnesses),
-        ppt_graph=min(w.ppt for w in witnesses),
+        ppt_graph=max(r.ppt_graph for r in parts),
     )
 
 
 def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """ppt(G): minimum propagation time over all minimum power dominating
     sets, the max over components of each one's least."""
-    if g.n == 0:
-        raise ValueError("gamma_P of the empty graph is undefined")
-    budget = _Budget(work_limit)
-    comps = g.components()
-    if len(comps) == 1:
-        return _gamma_connected(g, budget).ppt_graph
-    return max(_gamma_connected(g.subgraph(comp), budget).ppt_graph for comp in comps)
+    _, parts = _per_component(g, _Budget(work_limit), _gamma_connected)
+    return max(r.ppt_graph for r in parts)
 
 
 def _representatives(g: Graph) -> int:
@@ -316,7 +313,7 @@ def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
     for balls in islice(g._grow_balls(), min(l, g.n) + 1):
         pass
     pool = list(dict.fromkeys(ball & reps for ball in balls))
-    return _branch_search(g, budget, pool, reps, l, True)[0]
+    return len(next(_branch_search(g, budget, pool, reps, l))[0])
 
 
 def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
@@ -325,12 +322,7 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     l = 1 is exactly the domination number; l >= n never binds, giving
     gamma_P.
     """
-    if g.n == 0:
-        raise ValueError("l-round power domination of the empty graph is undefined")
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
-    budget = _Budget(work_limit)
-    comps = g.components()
-    if len(comps) == 1:
-        return _l_round_connected(g, l, budget)
-    return sum(_l_round_connected(g.subgraph(comp), l, budget) for comp in comps)
+    _, parts = _per_component(g, _Budget(work_limit), lambda h, b: _l_round_connected(h, l, b))
+    return sum(parts)

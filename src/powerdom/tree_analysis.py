@@ -23,7 +23,7 @@ from typing import FrozenSet
 from .errors import InternalConsistencyError, NotPowerDominatingError
 from .graph import Graph
 from .propagation import ppt_of_set, propagate
-from .solver import DEFAULT_WORK_LIMIT, gamma_p
+from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -101,7 +101,7 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
         ppt = ppt_of_set(t, seed)
     except NotPowerDominatingError:
         raise ValueError(f"{sorted(seed)} is not a power dominating set") from None
-    if len(seed) != gamma_p(t).gamma_p:
+    if len(seed) != len(_least_pds(t)):
         raise ValueError(f"{sorted(seed)} is not a minimum power dominating set")
     return _repair(t, seed, ppt)
 

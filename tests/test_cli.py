@@ -324,8 +324,15 @@ class TestExitCodes:
         assert code == 1 and err
 
     def test_budget_exit_two(self, capsys, h9_file):
-        code, _, err = run(capsys, "gamma", h9_file, "--limit", "10")
-        assert code == 2 and "work limit" in err
+        for limit in ("10", "0"):
+            code, _, err = run(capsys, "gamma", h9_file, "--limit", limit)
+            assert code == 2 and "work limit" in err
+
+    @pytest.mark.parametrize("limit", ["-5", "ten"])
+    def test_bad_limit_is_a_usage_error(self, capsys, h9_file, limit):
+        code, out, err = run(capsys, "gamma", "--limit", limit, h9_file)
+        assert code == 1 and out == "" and err.startswith("usage: powerdom gamma")
+        assert f"work limit must be a non-negative integer, got {limit!r}" in err
 
     @pytest.mark.parametrize(
         "argv,expect",

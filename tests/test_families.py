@@ -122,7 +122,7 @@ class TestVertexCap:
 
 
 class TestEdgeCap:
-    # n(n-1)/2 is checked before the edge or non-edge list is built, so
+    # n(n-1)/2 is checked before the edge list is built, so
     # K_7 (21 edges) is refused under a cap of 20 and K_6 (15) is not
     @pytest.mark.parametrize(
         "generate",

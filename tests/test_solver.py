@@ -208,8 +208,9 @@ class TestGammaExamples:
         assert result.ppt_graph == 2
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_p(Graph(0))
+        for solve in (gamma_p, ppt_graph, lambda g: l_round_number(g, 1)):
+            with pytest.raises(ValueError, match="power domination of the empty graph"):
+                solve(Graph(0))
 
 
 class TestWitnessCompleteness:
@@ -284,7 +285,9 @@ class TestDisconnected:
         # every graph on at most 6 vertices less the connected ones
         assert len(unions) == 65
         for g in unions:
-            assert ppt_graph(g) == gamma_p(g).ppt_graph, g.edges()
+            result = gamma_p(g)
+            assert ppt_graph(g) == result.ppt_graph, g.edges()
+            assert result.ppt_graph == min(w.ppt for w in result.witnesses), g.edges()
 
 
 class TestCap:
@@ -299,11 +302,20 @@ class TestCap:
     def test_capped_search_matches_gamma_p(self, catalog_conn_8):
         for g in self.corpus(catalog_conn_8):
             gp = gamma_p(g).gamma_p
-            k, hit = _least_pds(g)
-            assert k == gp and len(hit) == gp and is_pds(g, hit), g.edges()
+            hit = _least_pds(g)
+            assert len(hit) == gp and is_pds(g, hit), g.edges()
             assert _least_pds(g, k_max=gp - 1) is None, g.edges()
-            k, hit = _least_pds(g, k_max=gp)
-            assert k == gp and len(hit) == gp and is_pds(g, hit), g.edges()
+            hit = _least_pds(g, k_max=gp)
+            assert len(hit) == gp and is_pds(g, hit), g.edges()
+
+    def test_first_hit_ends_the_search(self):
+        # H_9: the first hit at k = 2 costs 86 units, every hit far more
+        g, _ = gen_h_delta(9)
+        assert len(_least_pds(g, work_limit=86)) == 2
+        with pytest.raises(SearchBudgetExceeded):
+            _least_pds(g, work_limit=85)
+        with pytest.raises(SearchBudgetExceeded):
+            gamma_p(g, work_limit=86)
 
     def test_cap_is_charged(self):
         # H_9: the root and one leaf per vertex at k = 1
@@ -335,7 +347,7 @@ class TestLRound:
         assert l_round_number(gen_path(5), 10**20) == l_round_number(gen_path(5), 5)
 
     def test_l_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="l must be a positive integer"):
             l_round_number(gen_path(3), 0)
 
     def test_non_integer_l_rejected(self):
