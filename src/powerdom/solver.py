@@ -70,9 +70,18 @@ reached exactly once. A run within l steps at |S| < k cannot happen: S
 would be an l-round PDS of |S| representatives, which the search at
 k = |S| reaches. (4) Only the first hit is taken; by the above no
 smaller set of representatives succeeds, so k is the l-round number.
-gamma_p runs the same search over all of V with pool [V], no binding
-step limit, and every hit collected. It does not prune by
-representatives: its witness list must hold every minimum power
+
+gamma_P and ppt alone (ppt_graph and the bounds) come from the search
+over representatives with pool [reps], no binding step limit, and every
+hit at the least k kept. Take a minimum PDS T with ppt(T) = ppt(G) and a
+vertex x of T that is not a representative, with dominating neighbour y.
+y is not in T: if it were, N[T - x] = N[T] and T - x would be a smaller
+PDS. So T - x + y has |T| vertices, and its layers from N[T - x + y] on
+contain T's, since one forcing round is monotone; its ppt is no larger.
+Repeated swaps end inside the representatives, as in (1). So the least k
+over representatives is gamma_P, and the least step count among its
+hits, each reached once, is ppt(G). gamma_p runs the search over all of
+V with pool [V] instead: its witness list must hold every minimum power
 dominating set, including those that use a dominated vertex such as a
 leaf.
 """
@@ -279,13 +288,6 @@ def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
     )
 
 
-def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
-    """ppt(G): minimum propagation time over all minimum power dominating
-    sets, the max over components of each one's least."""
-    _, parts = _per_component(g, _Budget(work_limit), _gamma_connected)
-    return max(r.ppt_graph for r in parts)
-
-
 def _representatives(g: Graph) -> int:
     """Mask of the vertices x with no neighbour y such that N[x] is strictly
     inside N[y], or N[x] = N[y] and y < x. Only neighbours need checking:
@@ -305,6 +307,21 @@ def _representatives(g: Graph) -> int:
         else:
             reps |= 1 << x
     return reps
+
+
+def _gamma_ppt_connected(g: Graph, budget: _Budget) -> tuple[int, int]:
+    """(gamma_P, ppt) of a connected g from every hit over representatives."""
+    reps = _representatives(g)
+    # some minimum PDS is made of representatives, so every hit meets reps
+    hits = list(_branch_search(g, budget, [reps], reps, g.n))
+    return len(hits[0][0]), min(steps for _, steps in hits)
+
+
+def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
+    """ppt(G): minimum propagation time over all minimum power dominating
+    sets, the max over components of each one's least."""
+    _, parts = _per_component(g, _Budget(work_limit), _gamma_ppt_connected)
+    return max(ppt for _, ppt in parts)
 
 
 def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:

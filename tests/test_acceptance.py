@@ -4,8 +4,10 @@ The two arithmetic checks pin the counterexample family exactly. The six
 property checks sweep the isomorphism catalogs and the seeded random
 corpora; where an oracle is needed it is implemented here from the
 definitions (plain set arithmetic, all-subsets search) so it shares no
-code with the solver under test. The last check sets the catalog
+code with the solver under test. The ninth check sets the catalog
 generator against every labelled graph, sharing only the certificate.
+The last sets the search over representatives that answers `ppt` and
+`bounds` against gamma_p and against the all-subsets least ppt.
 """
 
 import itertools
@@ -20,7 +22,14 @@ from powerdom.catalog import canonical_certificate, certificate, nonisomorphic_g
 from powerdom.cli import counterexample_demo
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.propagation import ppt_of_set, propagate
-from powerdom.solver import gamma_p, l_round_number
+from powerdom.solver import (
+    _Budget,
+    _gamma_ppt_connected,
+    _per_component,
+    gamma_p,
+    l_round_number,
+    ppt_graph,
+)
 from powerdom.trails import extract_monotone_trail, is_monotone_trail
 from powerdom.tree_analysis import repair_leaf_seeds, verify_tree_diameter_bound
 
@@ -47,10 +56,15 @@ def ceil_div(a, b):
 # unobserved neighbor observe it, all at once, until nothing changes.
 
 
+# The round count is the number of those steps (the first one included)
+# that observe a new vertex.
+
+
 def oracle_closure(adj, seed):
     obs = set(seed)
     for v in seed:
         obs |= adj[v]
+    rounds = int(len(obs) > len(seed))
     while True:
         forced = set()
         for v in obs:
@@ -58,16 +72,19 @@ def oracle_closure(adj, seed):
             if len(gap) == 1:
                 forced |= gap
         if not forced:
-            return obs
+            return obs, rounds
         obs |= forced
+        rounds += 1
 
 
-def oracle_gamma(g):
+def oracle_gamma_ppt(g):
+    """gamma_P and the least round count over its minimum power dominating sets."""
     adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     for k in range(1, g.n + 1):
-        for s in itertools.combinations(range(g.n), k):
-            if len(oracle_closure(adj, s)) == g.n:
-                return k
+        closures = (oracle_closure(adj, s) for s in itertools.combinations(range(g.n), k))
+        rounds = [r for obs, r in closures if len(obs) == g.n]
+        if rounds:
+            return k, min(rounds)
     raise AssertionError("V itself always power dominates")
 
 
@@ -113,7 +130,7 @@ def solved_random(random_connected_500):
 # ------------------------------------------------------------ the checks
 
 def test_counterexample_numbers(capsys):
-    with verdict(capsys, "[1/9] counterexample arithmetic at delta=9"):
+    with verdict(capsys, "[1/10] counterexample arithmetic at delta=9"):
         t0 = time.perf_counter()
         g, _ = gen_h_delta(9)
         rep = bounds_report(g)
@@ -128,7 +145,7 @@ def test_counterexample_numbers(capsys):
 
 
 def test_threshold_sweep(capsys):
-    with verdict(capsys, "[2/9] refutation threshold over delta 3..16"):
+    with verdict(capsys, "[2/10] refutation threshold over delta 3..16"):
         t0 = time.perf_counter()
         rows = counterexample_demo(3, 16)
         elapsed = time.perf_counter() - t0
@@ -143,7 +160,7 @@ def test_threshold_sweep(capsys):
 
 
 def test_gamma_lower_bound_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[3/9] gamma_p >= ceil(n/(ppt*maxdeg+1)) on the corpus"):
+    with verdict(capsys, "[3/10] gamma_p >= ceil(n/(ppt*maxdeg+1)) on the corpus"):
         assert len(solved_random) >= 500
         for g, res in solved_catalog + solved_random:
             bound = ceil_div(g.n, res.ppt_graph * g.max_degree() + 1)
@@ -151,7 +168,7 @@ def test_gamma_lower_bound_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_ppt_lower_bound_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[4/9] ppt >= ceil((n-gamma_p)/(gamma_p*maxdeg)) on the corpus"):
+    with verdict(capsys, "[4/10] ppt >= ceil((n-gamma_p)/(gamma_p*maxdeg)) on the corpus"):
         equality_seen = False
         for g, res in solved_catalog + solved_random:
             if g.n == 1:
@@ -167,7 +184,7 @@ def test_ppt_lower_bound_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_trail_extraction_sweep(solved_catalog, solved_random, capsys):
-    with verdict(capsys, "[5/9] monotone trail extraction over >= 300 triples"):
+    with verdict(capsys, "[5/10] monotone trail extraction over >= 300 triples"):
         triples = 0
         for g, res in solved_catalog + solved_random:
             if g.n < 3:
@@ -193,7 +210,7 @@ def test_trail_extraction_sweep(solved_catalog, solved_random, capsys):
 
 
 def test_tree_certificate_sweep(random_trees_200, capsys):
-    with verdict(capsys, "[6/9] tree certificates over 200 random trees"):
+    with verdict(capsys, "[6/10] tree certificates over 200 random trees"):
         assert len(random_trees_200) >= 200
         for t in random_trees_200:
             cert = verify_tree_diameter_bound(t)
@@ -214,16 +231,18 @@ def test_tree_certificate_sweep(random_trees_200, capsys):
 
 
 def test_exact_solver_vs_oracles(solved_catalog, capsys):
-    with verdict(capsys, "[7/9] solver equals all-subsets oracles on connected n <= 8"):
+    with verdict(capsys, "[7/10] solver equals all-subsets oracles on connected n <= 8"):
         for g, res in solved_catalog:
-            assert res.gamma_p == oracle_gamma(g), f"n={g.n} {sorted(g.edges())}"
+            assert (res.gamma_p, res.ppt_graph) == oracle_gamma_ppt(g), (
+                f"n={g.n} {sorted(g.edges())}"
+            )
             assert l_round_number(g, 1) == oracle_domination(g), (
                 f"n={g.n} {sorted(g.edges())}"
             )
 
 
 def test_process_invariants_sweep(catalog_all_8, capsys):
-    with verdict(capsys, "[8/9] layer invariants for every PDS of every n <= 8 graph"):
+    with verdict(capsys, "[8/10] layer invariants for every PDS of every n <= 8 graph"):
         checked = 0
         for g in catalog_all_8:
             core = g.core
@@ -255,7 +274,7 @@ def test_process_invariants_sweep(catalog_all_8, capsys):
 
 
 def test_catalog_vs_labelled_graphs(catalog_all_8, capsys):
-    with verdict(capsys, "[9/9] catalog classes equal all labelled graphs' (n <= 6)"):
+    with verdict(capsys, "[9/10] catalog classes equal all labelled graphs' (n <= 6)"):
         for n in range(1, 7):
             got = [canonical_certificate(g) for g in nonisomorphic_graphs(n)]
             assert set(got) == oracle_certificates(n), f"n={n}"
@@ -263,3 +282,21 @@ def test_catalog_vs_labelled_graphs(catalog_all_8, capsys):
         certs = [canonical_certificate(g) for g in catalog_all_8]
         assert sum(g.n == 8 for g in catalog_all_8) == 12346
         assert len(set(certs)) == len(certs)
+
+
+def test_representatives_search_sweep(solved_catalog, catalog_all_8, capsys):
+    with verdict(capsys, "[10/10] gamma_p and ppt over representatives equal gamma_p and the oracle"):
+        for g, res in solved_catalog:
+            want = (res.gamma_p, res.ppt_graph)
+            assert _gamma_ppt_connected(g, _Budget(10**8)) == want, g.edges()
+            assert ppt_graph(g) == res.ppt_graph, g.edges()
+            if g.n >= 2:
+                rep = bounds_report(g)
+                assert (rep.gamma_p, rep.ppt_graph) == want, g.edges()
+        small = [g for g in catalog_all_8 if g.n <= 7]
+        assert len(small) == 1252
+        for g in small:
+            want = oracle_gamma_ppt(g)
+            _, parts = _per_component(g, _Budget(10**8), _gamma_ppt_connected)
+            assert (sum(k for k, _ in parts), max(p for _, p in parts)) == want, g.edges()
+            assert ppt_graph(g) == want[1], g.edges()

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from powerdom.bounds import bounds_report
 from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import SearchBudgetExceeded
 from powerdom.families import (
@@ -21,11 +22,14 @@ from powerdom.families import (
 from powerdom.graph import Graph
 from powerdom.propagation import is_pds, ppt_of_set, propagate
 from powerdom.solver import (
+    DEFAULT_WORK_LIMIT,
     GammaResult,
     PdsSolution,
     _Budget,
+    _gamma_ppt_connected,
     _l_round_connected,
     _least_pds,
+    _per_component,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -323,6 +327,61 @@ class TestCap:
         assert _least_pds(g, work_limit=83, k_max=1) is None
         with pytest.raises(SearchBudgetExceeded):
             _least_pds(g, work_limit=82, k_max=1)
+
+
+def representatives_gamma_ppt(g: Graph) -> tuple[int, int]:
+    """(gamma_P, ppt) from the search over representatives, summed and
+    maxed over the components."""
+    _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
+    return sum(k for k, _ in parts), max(ppt for _, ppt in parts)
+
+
+class TestRepresentativesSearch:
+    """gamma_P and ppt from every hit over representatives, with no witness
+    list, against gamma_p's search over all of V."""
+
+    @staticmethod
+    def assert_matches_gamma_p(g):
+        result = gamma_p(g)
+        want = (result.gamma_p, result.ppt_graph)
+        assert representatives_gamma_ppt(g) == want, g.edges()
+        assert ppt_graph(g) == result.ppt_graph, g.edges()
+        if g.n >= 2 and g.is_connected():
+            report = bounds_report(g)
+            assert (report.gamma_p, report.ppt_graph) == want, g.edges()
+
+    def test_every_graph_up_to_seven_vertices(self, catalog_all_8):
+        small = [g for g in catalog_all_8 if g.n <= 7]
+        assert len(small) == 1252
+        for g in small:
+            self.assert_matches_gamma_p(g)
+
+    def test_sparse_pool(self, perfbench_sparse):
+        workloads, ref = perfbench_sparse
+        assert len(ref) == 840
+        for key in ref:
+            kind, n, i = key.split("-")
+            self.assert_matches_gamma_p(workloads.pool_graph(kind, int(n), int(i)))
+
+    def test_h_delta(self):
+        for delta in range(3, 13):
+            self.assert_matches_gamma_p(gen_h_delta(delta)[0])
+
+    def test_budget_covers_only_the_representatives(self):
+        # H_9: 177 units over representatives, where gamma_p needs more; a
+        # fall-back to the witness search would raise at 177
+        g, _ = gen_h_delta(9)
+        budget = _Budget(DEFAULT_WORK_LIMIT)
+        assert _gamma_ppt_connected(g, budget) == (2, 33)
+        assert budget.used == 177
+        assert ppt_graph(g, work_limit=177) == 33
+        assert bounds_report(g, work_limit=177).ppt_graph == 33
+        with pytest.raises(SearchBudgetExceeded):
+            ppt_graph(g, work_limit=176)
+        with pytest.raises(SearchBudgetExceeded):
+            bounds_report(g, work_limit=176)
+        with pytest.raises(SearchBudgetExceeded):
+            gamma_p(g, work_limit=177)
 
 
 class TestLRound:
