@@ -312,7 +312,7 @@ def _representatives(g: Graph) -> int:
 def _gamma_ppt_connected(g: Graph, budget: _Budget) -> tuple[int, int]:
     """(gamma_P, ppt) of a connected g from every hit over representatives."""
     reps = _representatives(g)
-    # some minimum PDS is made of representatives, so every hit meets reps
+    # N[V] cut down to reps; some minimum PDS lies inside reps
     hits = list(_branch_search(g, budget, [reps], reps, g.n))
     return len(hits[0][0]), min(steps for _, steps in hits)
 

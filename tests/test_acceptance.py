@@ -23,6 +23,7 @@ from powerdom.cli import counterexample_demo
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.propagation import ppt_of_set, propagate
 from powerdom.solver import (
+    DEFAULT_WORK_LIMIT,
     _Budget,
     _gamma_ppt_connected,
     _per_component,
@@ -285,10 +286,10 @@ def test_catalog_vs_labelled_graphs(catalog_all_8, capsys):
 
 
 def test_representatives_search_sweep(solved_catalog, catalog_all_8, capsys):
-    with verdict(capsys, "[10/10] gamma_p and ppt over representatives equal gamma_p and the oracle"):
+    with verdict(capsys, "[10/10] representatives search equals gamma_p and the least-ppt oracle"):
         for g, res in solved_catalog:
             want = (res.gamma_p, res.ppt_graph)
-            assert _gamma_ppt_connected(g, _Budget(10**8)) == want, g.edges()
+            assert _gamma_ppt_connected(g, _Budget(DEFAULT_WORK_LIMIT)) == want, g.edges()
             assert ppt_graph(g) == res.ppt_graph, g.edges()
             if g.n >= 2:
                 rep = bounds_report(g)
@@ -297,6 +298,6 @@ def test_representatives_search_sweep(solved_catalog, catalog_all_8, capsys):
         assert len(small) == 1252
         for g in small:
             want = oracle_gamma_ppt(g)
-            _, parts = _per_component(g, _Budget(10**8), _gamma_ppt_connected)
+            _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
             assert (sum(k for k, _ in parts), max(p for _, p in parts)) == want, g.edges()
             assert ppt_graph(g) == want[1], g.edges()

@@ -329,13 +329,6 @@ class TestCap:
             _least_pds(g, work_limit=82, k_max=1)
 
 
-def representatives_gamma_ppt(g: Graph) -> tuple[int, int]:
-    """(gamma_P, ppt) from the search over representatives, summed and
-    maxed over the components."""
-    _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
-    return sum(k for k, _ in parts), max(ppt for _, ppt in parts)
-
-
 class TestRepresentativesSearch:
     """gamma_P and ppt from every hit over representatives, with no witness
     list, against gamma_p's search over all of V."""
@@ -344,7 +337,9 @@ class TestRepresentativesSearch:
     def assert_matches_gamma_p(g):
         result = gamma_p(g)
         want = (result.gamma_p, result.ppt_graph)
-        assert representatives_gamma_ppt(g) == want, g.edges()
+        # summed and maxed over components, as ppt_graph does
+        _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
+        assert (sum(k for k, _ in parts), max(ppt for _, ppt in parts)) == want, g.edges()
         assert ppt_graph(g) == result.ppt_graph, g.edges()
         if g.n >= 2 and g.is_connected():
             report = bounds_report(g)
@@ -382,6 +377,13 @@ class TestRepresentativesSearch:
             bounds_report(g, work_limit=176)
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(g, work_limit=177)
+
+    def test_twins_leave_one_representative(self):
+        # in K_6 every vertex is a twin of 0, so the root and the leaf {0}
+        # are the whole search, where gamma_p tries all six singletons
+        budget = _Budget(DEFAULT_WORK_LIMIT)
+        assert _gamma_ppt_connected(gen_complete(6), budget) == (1, 1)
+        assert budget.used == 2
 
 
 class TestLRound:
