@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DisconnectedGraphError
 from .graph import Graph
-from .solver import DEFAULT_WORK_LIMIT, _Budget, _gamma_ppt_connected, _least_pds
+from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p, ppt_graph
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -99,8 +99,7 @@ def _tree_bound(n: int, diam: int, delta: int) -> int:
 def correct_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """|V| / (ppt(G) * Delta(G) + 1), exactly. Invokes the exact solver."""
     _require_connected(g)
-    _, ppt = _gamma_ppt_connected(g, _Budget(work_limit))
-    return _correct_bound(g.n, ppt, g.max_degree())
+    return _correct_bound(g.n, ppt_graph(g, work_limit=work_limit), g.max_degree())
 
 
 def refuted_diameter_bound(g: Graph) -> Fraction:
@@ -133,13 +132,14 @@ def tree_lower_bound(g: Graph) -> int:
 def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsReport:
     """Aggregate every bound for one connected graph (n >= 2).
 
-    The search over representatives (gamma_P and ppt, no witness list)
-    and the diameter run once each; their values feed all derived fields.
+    The solver (gamma_p without its witness list, so a search over
+    representatives) and the diameter run once each; their values feed all
+    derived fields.
     """
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
-    gp, ppt = _gamma_ppt_connected(g, _Budget(work_limit))
+    result = gamma_p(g, work_limit=work_limit, witnesses=False)
     delta = g.max_degree()
     diam = g.diameter()
     refuted = _refuted_bound(g.n, diam, delta)
@@ -148,11 +148,11 @@ def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsRepor
         n=g.n,
         max_degree=delta,
         diameter=diam,
-        gamma_p=gp,
-        ppt_graph=ppt,
-        correct_bound_raw=_correct_bound(g.n, ppt, delta),
+        gamma_p=result.gamma_p,
+        ppt_graph=result.ppt_graph,
+        correct_bound_raw=_correct_bound(g.n, result.ppt_graph, delta),
         refuted_bound_raw=refuted,
-        ppt_lower_bound=_ppt_bound(g.n, gp, delta),
+        ppt_lower_bound=_ppt_bound(g.n, result.gamma_p, delta),
         tree_bound=_tree_bound(g.n, diam, delta) if is_tree else None,
-        refutation_flag=refuted > gp,
+        refutation_flag=refuted > result.gamma_p,
     )

@@ -71,8 +71,8 @@ would be an l-round PDS of |S| representatives, which the search at
 k = |S| reaches. (4) Only the first hit is taken; by the above no
 smaller set of representatives succeeds, so k is the l-round number.
 
-gamma_P and ppt alone (ppt_graph and the bounds) come from the search
-over representatives with pool [reps], no binding step limit, and every
+gamma_P and ppt alone (ppt_graph, and gamma_p with witnesses=False for
+the bounds) come from the search over representatives with pool [reps], no binding step limit, and every
 hit at the least k kept. Take a minimum PDS T with ppt(T) = ppt(G) and a
 vertex x of T that is not a representative, with dominating neighbour y.
 y is not in T: if it were, N[T - x] = N[T] and T - x would be a smaller
@@ -80,10 +80,10 @@ PDS. So T - x + y has |T| vertices, and its layers from N[T - x + y] on
 contain T's, since one forcing round is monotone; its ppt is no larger.
 Repeated swaps end inside the representatives, as in (1). So the least k
 over representatives is gamma_P, and the least step count among its
-hits, each reached once, is ppt(G). gamma_p runs the search over all of
-V with pool [V] instead: its witness list must hold every minimum power
-dominating set, including those that use a dominated vertex such as a
-leaf.
+hits, each reached once, is ppt(G). gamma_p with its witness list runs
+the search over all of V with pool [V] instead: the list must hold every
+minimum power dominating set, including those that use a dominated vertex
+such as a leaf.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ class PdsSolution:
 
 @dataclass(frozen=True)
 class GammaResult:
-    """gamma_P with all minimum witnesses, lexicographically ordered."""
+    """gamma_P with all minimum witnesses, lexicographically ordered, or
+    none when gamma_p ran with witnesses=False."""
 
     gamma_p: int
     witnesses: tuple
@@ -263,8 +264,16 @@ def _per_component(g: Graph, budget: _Budget, solve: Callable) -> tuple[list, li
     return comps, [solve(g.subgraph(comp), budget) for comp in comps]
 
 
-def gamma_p(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> GammaResult:
-    """Exact gamma_P(G) with every minimum power dominating set."""
+def gamma_p(
+    g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, *, witnesses: bool = True
+) -> GammaResult:
+    """Exact gamma_P(G) with every minimum power dominating set.
+
+    With witnesses=False the witness list is empty and gamma_P and ppt come
+    from the search over representatives, which needs fewer units."""
+    if not witnesses:
+        k, ppt = _gamma_ppt(g, work_limit)
+        return GammaResult(gamma_p=k, witnesses=(), ppt_graph=ppt)
     budget = _Budget(work_limit)
     comps, parts = _per_component(g, budget, _gamma_connected)
     if len(parts) == 1:
@@ -317,11 +326,17 @@ def _gamma_ppt_connected(g: Graph, budget: _Budget) -> tuple[int, int]:
     return len(hits[0][0]), min(steps for _, steps in hits)
 
 
+def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:
+    """(gamma_P, ppt) from the search over representatives: the sum of the
+    components' gamma_P and the max of their least ppt."""
+    _, parts = _per_component(g, _Budget(work_limit), _gamma_ppt_connected)
+    return sum(k for k, _ in parts), max(ppt for _, ppt in parts)
+
+
 def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """ppt(G): minimum propagation time over all minimum power dominating
     sets, the max over components of each one's least."""
-    _, parts = _per_component(g, _Budget(work_limit), _gamma_ppt_connected)
-    return max(ppt for _, ppt in parts)
+    return _gamma_ppt(g, work_limit)[1]
 
 
 def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:

@@ -6,8 +6,9 @@ corpora; where an oracle is needed it is implemented here from the
 definitions (plain set arithmetic, all-subsets search) so it shares no
 code with the solver under test. The ninth check sets the catalog
 generator against every labelled graph, sharing only the certificate.
-The last sets the search over representatives that answers `ppt` and
-`bounds` against gamma_p and against the all-subsets least ppt.
+The seventh also holds the search over representatives that answers
+`ppt` and `bounds` to the oracles; the last sets it against the
+all-subsets least ppt on every graph with n <= 7, disconnected included.
 """
 
 import itertools
@@ -24,9 +25,7 @@ from powerdom.families import gen_h_delta, gen_path
 from powerdom.propagation import ppt_of_set, propagate
 from powerdom.solver import (
     DEFAULT_WORK_LIMIT,
-    _Budget,
-    _gamma_ppt_connected,
-    _per_component,
+    _gamma_ppt,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -234,9 +233,14 @@ def test_tree_certificate_sweep(random_trees_200, capsys):
 def test_exact_solver_vs_oracles(solved_catalog, capsys):
     with verdict(capsys, "[7/10] solver equals all-subsets oracles on connected n <= 8"):
         for g, res in solved_catalog:
-            assert (res.gamma_p, res.ppt_graph) == oracle_gamma_ppt(g), (
-                f"n={g.n} {sorted(g.edges())}"
-            )
+            want = oracle_gamma_ppt(g)
+            assert (res.gamma_p, res.ppt_graph) == want, f"n={g.n} {sorted(g.edges())}"
+            # the search over representatives that answers `ppt` and `bounds`
+            assert _gamma_ppt(g, DEFAULT_WORK_LIMIT) == want, g.edges()
+            assert ppt_graph(g) == want[1], g.edges()
+            if g.n >= 2:
+                rep = bounds_report(g)
+                assert (rep.gamma_p, rep.ppt_graph) == want, g.edges()
             assert l_round_number(g, 1) == oracle_domination(g), (
                 f"n={g.n} {sorted(g.edges())}"
             )
@@ -285,19 +289,11 @@ def test_catalog_vs_labelled_graphs(catalog_all_8, capsys):
         assert len(set(certs)) == len(certs)
 
 
-def test_representatives_search_sweep(solved_catalog, catalog_all_8, capsys):
-    with verdict(capsys, "[10/10] representatives search equals gamma_p and the least-ppt oracle"):
-        for g, res in solved_catalog:
-            want = (res.gamma_p, res.ppt_graph)
-            assert _gamma_ppt_connected(g, _Budget(DEFAULT_WORK_LIMIT)) == want, g.edges()
-            assert ppt_graph(g) == res.ppt_graph, g.edges()
-            if g.n >= 2:
-                rep = bounds_report(g)
-                assert (rep.gamma_p, rep.ppt_graph) == want, g.edges()
+def test_representatives_search_sweep(catalog_all_8, capsys):
+    with verdict(capsys, "[10/10] representatives search equals the least-ppt oracle (n <= 7)"):
         small = [g for g in catalog_all_8 if g.n <= 7]
         assert len(small) == 1252
         for g in small:
             want = oracle_gamma_ppt(g)
-            _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
-            assert (sum(k for k, _ in parts), max(p for _, p in parts)) == want, g.edges()
+            assert _gamma_ppt(g, DEFAULT_WORK_LIMIT) == want, g.edges()
             assert ppt_graph(g) == want[1], g.edges()

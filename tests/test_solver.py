@@ -26,10 +26,9 @@ from powerdom.solver import (
     GammaResult,
     PdsSolution,
     _Budget,
-    _gamma_ppt_connected,
+    _gamma_ppt,
     _l_round_connected,
     _least_pds,
-    _per_component,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -337,10 +336,10 @@ class TestRepresentativesSearch:
     def assert_matches_gamma_p(g):
         result = gamma_p(g)
         want = (result.gamma_p, result.ppt_graph)
-        # summed and maxed over components, as ppt_graph does
-        _, parts = _per_component(g, _Budget(DEFAULT_WORK_LIMIT), _gamma_ppt_connected)
-        assert (sum(k for k, _ in parts), max(ppt for _, ppt in parts)) == want, g.edges()
+        assert _gamma_ppt(g, DEFAULT_WORK_LIMIT) == want, g.edges()
         assert ppt_graph(g) == result.ppt_graph, g.edges()
+        short = gamma_p(g, witnesses=False)
+        assert (short.gamma_p, short.ppt_graph, short.witnesses) == (*want, ()), g.edges()
         if g.n >= 2 and g.is_connected():
             report = bounds_report(g)
             assert (report.gamma_p, report.ppt_graph) == want, g.edges()
@@ -363,27 +362,25 @@ class TestRepresentativesSearch:
             self.assert_matches_gamma_p(gen_h_delta(delta)[0])
 
     def test_budget_covers_only_the_representatives(self):
-        # H_9: 177 units over representatives, where gamma_p needs more; a
-        # fall-back to the witness search would raise at 177
+        # H_9: 177 units over representatives, where gamma_p with its
+        # witness list needs more; a fall-back to that search would raise
         g, _ = gen_h_delta(9)
-        budget = _Budget(DEFAULT_WORK_LIMIT)
-        assert _gamma_ppt_connected(g, budget) == (2, 33)
-        assert budget.used == 177
+        assert _gamma_ppt(g, 177) == (2, 33)
         assert ppt_graph(g, work_limit=177) == 33
+        assert gamma_p(g, work_limit=177, witnesses=False).ppt_graph == 33
         assert bounds_report(g, work_limit=177).ppt_graph == 33
-        with pytest.raises(SearchBudgetExceeded):
-            ppt_graph(g, work_limit=176)
-        with pytest.raises(SearchBudgetExceeded):
-            bounds_report(g, work_limit=176)
+        for call in (_gamma_ppt, ppt_graph, bounds_report):
+            with pytest.raises(SearchBudgetExceeded):
+                call(g, 176)
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(g, work_limit=177)
 
     def test_twins_leave_one_representative(self):
         # in K_6 every vertex is a twin of 0, so the root and the leaf {0}
         # are the whole search, where gamma_p tries all six singletons
-        budget = _Budget(DEFAULT_WORK_LIMIT)
-        assert _gamma_ppt_connected(gen_complete(6), budget) == (1, 1)
-        assert budget.used == 2
+        assert _gamma_ppt(gen_complete(6), 2) == (1, 1)
+        with pytest.raises(SearchBudgetExceeded):
+            _gamma_ppt(gen_complete(6), 1)
 
 
 class TestLRound:
