@@ -5,9 +5,11 @@ the engine's two kernel calls. A rename in powerdom would otherwise show
 only as a failed traced benchmark run, since perfbench's own tests are
 not part of this suite. The tracer file is loaded by path, unedited.
 
-The last test pins what perfbench's workloads and tests read from
-results: the demo's exact/certified threshold, trace layers as an init
-field of frozensets, and the fields of GammaResult they compare.
+One test pins that bounds_report reaches the kernel under a solver span,
+as perfbench's span-nesting test requires. The last pins what
+perfbench's workloads and tests read from results: the demo's
+exact/certified threshold, trace layers as an init field of frozensets,
+and the fields of GammaResult they compare.
 """
 
 import dataclasses
@@ -20,14 +22,14 @@ import pytest
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
 
 
-@pytest.mark.parametrize("layer,modname,attr", _targets())
+@pytest.mark.parametrize("layer,modname,attr", _tracer().TARGETS)
 def test_target_resolves(layer, modname, attr):
     mod = importlib.import_module(modname)
     if "." in attr:
@@ -42,6 +44,31 @@ def test_kernel_engine_has_the_traced_calls():
 
     for meth in ("fixed_point", "layer_masks"):
         assert callable(getattr(_kernel.PropagationCore, meth, None)), meth
+
+
+def test_bounds_reaches_the_kernel_under_a_solver_span():
+    # perfbench's span test needs the chain bounds -> solver -> kernel
+    tracer = _tracer()
+    for _, modname, _ in tracer.TARGETS:
+        importlib.import_module(modname)
+    from powerdom import bounds, families
+
+    g, _ = families.gen_h_delta(3)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        bounds.bounds_report(g)
+    finally:
+        t.uninstall()
+    rec = t.rec
+    layer = [rec.names[i][0] for i in rec.name]
+    chains = {
+        (layer[rec.parent[p]], layer[p])
+        for i, p in enumerate(rec.parent)
+        if layer[i] == "kernel" and p != tracer.ROOT and rec.parent[p] != tracer.ROOT
+    }
+    assert ("bounds", "solver") in chains
+    assert not t.unrestored()
 
 
 def test_perfbench_read_contract():
