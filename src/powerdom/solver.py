@@ -72,8 +72,8 @@ k = |S| reaches. (4) Only the first hit is taken; by the above no
 smaller set of representatives succeeds, so k is the l-round number.
 
 gamma_P and ppt alone (ppt_graph, and gamma_p with witnesses=False for
-the bounds) come from the search over representatives with pool [reps], no binding step limit, and every
-hit at the least k kept. Take a minimum PDS T with ppt(T) = ppt(G) and a
+the bounds) come from the search over representatives with pool [reps],
+no binding step limit, and every hit at the least k kept. Take a minimum PDS T with ppt(T) = ppt(G) and a
 vertex x of T that is not a representative, with dominating neighbour y.
 y is not in T: if it were, N[T - x] = N[T] and T - x would be a smaller
 PDS. So T - x + y has |T| vertices, and its layers from N[T - x + y] on
