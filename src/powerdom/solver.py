@@ -71,19 +71,19 @@ would be an l-round PDS of |S| representatives, which the search at
 k = |S| reaches. (4) Only the first hit is taken; by the above no
 smaller set of representatives succeeds, so k is the l-round number.
 
-gamma_P and ppt alone (ppt_graph, and gamma_p with witnesses=False for
-the bounds) come from the search over representatives with pool [reps],
-no binding step limit, and every hit at the least k kept. Take a minimum PDS T with ppt(T) = ppt(G) and a
-vertex x of T that is not a representative, with dominating neighbour y.
-y is not in T: if it were, N[T - x] = N[T] and T - x would be a smaller
-PDS. So T - x + y has |T| vertices, and its layers from N[T - x + y] on
-contain T's, since one forcing round is monotone; its ppt is no larger.
-Repeated swaps end inside the representatives, as in (1). So the least k
-over representatives is gamma_P, and the least step count among its
-hits, each reached once, is ppt(G). gamma_p with its witness list runs
-the search over all of V with pool [V] instead: the list must hold every
-minimum power dominating set, including those that use a dominated vertex
-such as a leaf.
+gamma_P and ppt alone (ppt_graph, gamma_p with witnesses=False, the tree
+certificate) come from the search over representatives with pool [reps],
+no binding step limit, and every hit at the least k kept. Take a minimum
+PDS T with ppt(T) = ppt(G) and a vertex x of T that is not a
+representative, with dominating neighbour y. y is not in T: if it were,
+N[T - x] = N[T] and T - x would be a smaller PDS. So T - x + y has |T|
+vertices, and its layers from N[T - x + y] on contain T's, since one
+forcing round is monotone; its ppt is no larger. Repeated swaps end
+inside the representatives, as in (1). So the least k over
+representatives is gamma_P, and the least step count among its hits,
+each reached once, is ppt(G). gamma_p with its witness list runs the
+search over all of V with pool [V] instead: the list must hold every
+minimum PDS, including those that use a dominated vertex such as a leaf.
 """
 
 from __future__ import annotations
@@ -318,19 +318,18 @@ def _representatives(g: Graph) -> int:
     return reps
 
 
-def _gamma_ppt_connected(g: Graph, budget: _Budget) -> tuple[int, int]:
-    """(gamma_P, ppt) of a connected g from every hit over representatives."""
+def _rep_hits(g: Graph, budget: _Budget) -> list[tuple[tuple, int]]:
+    """Every hit (S, steps) at the least k over a connected g's representatives."""
     reps = _representatives(g)
     # N[V] cut down to reps; some minimum PDS lies inside reps
-    hits = list(_branch_search(g, budget, [reps], reps, g.n))
-    return len(hits[0][0]), min(steps for _, steps in hits)
+    return list(_branch_search(g, budget, [reps], reps, g.n))
 
 
 def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:
     """(gamma_P, ppt) from the search over representatives: the sum of the
     components' gamma_P and the max of their least ppt."""
-    _, parts = _per_component(g, _Budget(work_limit), _gamma_ppt_connected)
-    return sum(k for k, _ in parts), max(ppt for _, ppt in parts)
+    _, parts = _per_component(g, _Budget(work_limit), _rep_hits)
+    return sum(len(h[0][0]) for h in parts), max(min(steps for _, steps in h) for h in parts)
 
 
 def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:

@@ -1,29 +1,37 @@
 """Tree-specific structure: leaf-seed repair and the diameter bound.
 
-For a tree T on at least three vertices there is always a minimum power
-dominating set that achieves ppt(T) and contains no leaves: a leaf seed
-can be swapped for its unique neighbor without growing the set or slowing
-propagation. Starting a monotone trail from a latest-observed vertex of
-such a repaired set yields a path of length at least ppt(T) + 1, which
-forces ppt(T) <= diam(T) - 1.
+For a tree T on at least three vertices, swapping each leaf seed of a
+minimum power dominating set for its unique neighbor neither grows the
+set nor slows propagation, so a minimum PDS with no leaf attains ppt(T).
+A monotone trail from a latest-observed vertex of such a repaired set is
+a path of length at least ppt(T) + 1, which forces ppt(T) <= diam(T) - 1.
 
-verify_tree_diameter_bound packages all of that as a checkable
-certificate; any failed assertion raises InternalConsistencyError since
-it would contradict a proved statement. It reuses what is already known
-rather than propagating again: each witness's ppt as the solver reports
-it, and for the chosen set the one trace the trail is read from, whose
-completeness and step count check the repaired set's ppt.
+verify_tree_diameter_bound packages that as a certificate; a failed check
+raises InternalConsistencyError, as it contradicts a proved statement.
+Its sets come from the solver's search over representatives: for n >= 3
+the non-leaves, since a leaf's N[x] lies strictly inside its neighbour's,
+and a non-leaf x with N[x] inside a neighbour's N[y] has another
+neighbour adjacent to y, a triangle. So the hits in ppt steps are the
+leafless ppt-attaining minimum PDS, which are the repaired sets (a
+leafless set repairs to itself); the least is the repaired set R.
+Minimality keeps a leaf and its neighbour, or two leaves of one
+neighbour, out of a minimum PDS, so a ppt-attaining W that repairs to R
+is R with some u swapped for a leaf of u. The original set, the least
+such W, is the first set in the sorted product over u in R of (u, u's
+leaves) that reaches V in ppt steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import FrozenSet
 
 from .errors import InternalConsistencyError, NotPowerDominatingError
 from .graph import Graph
 from .propagation import ppt_of_set, propagate
-from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p
+from .solver import DEFAULT_WORK_LIMIT, _Budget, _least_pds, _rep_hits
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -106,34 +114,27 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
     return _repair(t, seed, ppt)
 
 
-def verify_tree_diameter_bound(
-    t: Graph, work_limit: int = DEFAULT_WORK_LIMIT
-) -> TreeCertificate:
+def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> TreeCertificate:
     """Certify ppt(T) <= diam(T) - 1 with an explicit witness path.
 
-    work_limit caps the gamma_P search as in solver.gamma_p.
+    work_limit caps the search over representatives, as in solver.ppt_graph,
+    plus one unit per candidate for the original set.
     """
     _check_tree(t)
     diam = t.diameter()
-    result = gamma_p(t, work_limit=work_limit)
-    ppt = result.ppt_graph
-
-    # the least repaired set, from the first witness that gives it
-    best = min(
-        (
-            (tuple(sorted(_repair(t, frozenset(w.vertices), ppt))), w.vertices)
-            for w in result.witnesses
-            if w.ppt == ppt
-        ),
-        default=None,
-    )
-    if best is None:
-        raise InternalConsistencyError("no witness achieves the graph's ppt")
-    repaired, original = best
+    budget = _Budget(work_limit)
+    ppt, repaired = min((steps, s) for s, steps in _rep_hits(t, budget))
+    choices = [(u, *(v for v in t.neighbors(u) if t.degree(v) == 1)) for u in repaired]
+    budget.spend(prod(map(len, choices)))
+    candidates = sorted(tuple(sorted(c)) for c in product(*choices))
+    done = (t.full_mask, ppt)
+    original = next(c for c in candidates if t.core.fixed_point(sum(1 << v for v in c)) == done)
+    if _repair(t, frozenset(original), ppt) != frozenset(repaired):
+        raise InternalConsistencyError(f"{list(original)} does not repair to {list(repaired)}")
 
     trace = propagate(t, repaired)
     if not (trace.complete and trace.steps == ppt):
-        # repair cannot increase ppt, and the original already attains the minimum
+        # the search ran the repaired set to V in ppt steps
         raise InternalConsistencyError(
             f"repaired set {list(repaired)} does not reach V in exactly {ppt} steps"
         )

@@ -1,4 +1,4 @@
-"""Shared corpora.
+"""Shared corpora, and a counter of kernel runs.
 
 The catalogs are one representative per isomorphism class; class counts
 are pinned against the known sequences in test_catalog. Random corpora
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from powerdom import graph
 from powerdom.catalog import connected_graphs, nonisomorphic_graphs
 from powerdom.families import gen_random_connected, gen_random_tree
 
@@ -63,3 +64,24 @@ def perfbench_sparse():
     spec.loader.exec_module(workloads)
     ref = json.loads((PERFBENCH / "reference.json").read_text())["sparse"]
     return workloads, ref
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The start mask of every fixed_point call on graphs built from now."""
+    real = graph.PropagationCore
+    runs = []
+
+    class CountingCore:
+        def __init__(self, adj_masks, n):
+            self._core = real(adj_masks, n)
+
+        def fixed_point(self, start):
+            runs.append(start)
+            return self._core.fixed_point(start)
+
+        def layer_masks(self, start):
+            return self._core.layer_masks(start)
+
+    monkeypatch.setattr(graph, "PropagationCore", CountingCore)
+    return runs

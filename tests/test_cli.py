@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import graph
 from powerdom.cli import _build_parser, counterexample_demo, main
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.graph import parse_graph, write_graph
@@ -240,25 +239,51 @@ class TestVerifyTree:
         code, out, err = run(capsys, "verify-tree", "--limit", "3", "-")
         assert code == 2 and out == "" and "work limit of 3 exceeded" in err
 
+    # two sparse pool trees whose original set holds leaves; the strings were
+    # recorded when the certificate was read off the list of every minimum PDS
+    PINNED = {
+        "tree-11-1": (
+            "ppt = 3, diam = 6: ppt <= diam-1 holds\n"
+            "witness set [3, 8] (repaired from [0, 8])\n"
+            "witness path: 5 8 4 10 2\n",
+            {
+                "original_set": [0, 8],
+                "repaired_set": [3, 8],
+                "ppt_original": 3,
+                "ppt_repaired": 3,
+                "diam": 6,
+                "witness_trail": {"vertices": [5, 8, 4, 10, 2], "edge_labels": [1, 1, 2, 3], "length": 4},
+            },
+        ),
+        "tree-11-15": (
+            "ppt = 2, diam = 4: ppt <= diam-1 holds\n"
+            "witness set [5, 8, 10] (repaired from [0, 4, 10])\n"
+            "witness path: 0 5 7 2\n",
+            {
+                "original_set": [0, 4, 10],
+                "repaired_set": [5, 8, 10],
+                "ppt_original": 2,
+                "ppt_repaired": 2,
+                "diam": 4,
+                "witness_trail": {"vertices": [0, 5, 7, 2], "edge_labels": [1, 1, 2], "length": 3},
+            },
+        ),
+    }
 
-def _count_kernel_runs(monkeypatch) -> list:
-    """Record the start mask of every fixed_point call on graphs built from now."""
-    real = graph.PropagationCore
-    runs = []
-
-    class CountingCore:
-        def __init__(self, adj_masks, n):
-            self._core = real(adj_masks, n)
-
-        def fixed_point(self, start):
-            runs.append(start)
-            return self._core.fixed_point(start)
-
-        def layer_masks(self, start):
-            return self._core.layer_masks(start)
-
-    monkeypatch.setattr(graph, "PropagationCore", CountingCore)
-    return runs
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_output_on_pool_trees(self, capsys, tmp_path, perfbench_sparse, key):
+        workloads, _ = perfbench_sparse
+        _, n, i = key.split("-")
+        path = tmp_path / f"{key}.txt"
+        path.write_text(write_graph(workloads.pool_graph("tree", int(n), int(i))))
+        text, payload = self.PINNED[key]
+        assert run(capsys, "verify-tree", str(path)) == (0, text, "")
+        # byte for byte: main prints json.dumps(payload, indent=2)
+        assert run(capsys, "verify-tree", str(path), "--json") == (
+            0,
+            json.dumps(payload, indent=2) + "\n",
+            "",
+        )
 
 
 class TestDemo:
@@ -282,19 +307,17 @@ class TestDemo:
         assert [r["gamma_mode"] for r in rows] == ["exact", "certified"]
         assert all(r["gamma_p"] == 2 for r in rows)
 
-    def test_certified_rows_refute_singletons_through_forts(self, monkeypatch):
-        runs = _count_kernel_runs(monkeypatch)
+    def test_certified_rows_refute_singletons_through_forts(self, kernel_runs):
         rows = counterexample_demo(13, 16)
         assert [r["gamma_mode"] for r in rows] == ["certified"] * 4
         # one run per singleton, 850 in all, without the fort pool
-        assert len(runs) < 100
+        assert len(kernel_runs) < 100
 
-    def test_exact_rows_stop_at_the_first_hit(self, monkeypatch):
-        runs = _count_kernel_runs(monkeypatch)
+    def test_exact_rows_stop_at_the_first_hit(self, kernel_runs):
         rows = counterexample_demo(3, 16)
         assert [r["gamma_p"] for r in rows] == [2] * 14
         # listing and running every minimum PDS through delta = 12 took 1,105
-        assert len(runs) < 300
+        assert len(kernel_runs) < 300
 
     def test_limit_reaches_the_certified_rows(self, capsys):
         # the capped search charges one unit per node, 171 on H_13

@@ -2,10 +2,12 @@
 
 import pytest
 
-from powerdom.errors import InternalConsistencyError
+from powerdom import tree_analysis
+from powerdom.errors import InternalConsistencyError, SearchBudgetExceeded
 from powerdom.families import gen_cycle, gen_path, gen_random_tree, gen_spider, gen_star
+from powerdom.graph import Graph
 from powerdom.propagation import is_pds, ppt_of_set, propagate
-from powerdom.solver import gamma_p
+from powerdom.solver import _Budget, _rep_hits, gamma_p
 from powerdom.trails import extract_monotone_trail
 from powerdom.tree_analysis import TreeCertificate, repair_leaf_seeds, verify_tree_diameter_bound
 
@@ -201,3 +203,122 @@ def test_benchmark_accepts_every_reference_tree_certificate(perfbench_sparse):
         _, n, i = key.split("-")
         g = workloads.pool_graph("tree", int(n), int(i))
         workloads._check_tree_cert(g, verify_tree_diameter_bound(g), ref[key], key)
+
+
+# -- search over representatives ------------------------------------------
+#
+# The certificate takes gamma_P, ppt and the repaired set from the search
+# over representatives, then the original set from the product over the
+# repaired vertices u of (u, u's leaves). Two trees drawn by hand:
+#
+#   FORK:   0 - 1 - 2 - 6        1 carries leaf 0 and the path 1-2-6;
+#               |                4 carries leaves 3 and 5, so it has three
+#           3 - 4 - 5            choices in the product
+#
+#   TWO_SWAPS: 7 carries leaves 0 and 2, 4 carries leaves 3 and 5, and 1
+#   carries leaf 9 and the path 1-6-8; the original swaps both 7 and 4.
+
+FORK = Graph(7, [(0, 1), (1, 2), (1, 4), (2, 6), (3, 4), (4, 5)])
+TWO_SWAPS = Graph(10, [(0, 7), (1, 6), (1, 7), (1, 9), (2, 7), (3, 4), (4, 5), (4, 7), (6, 8)])
+# two stars K_{1,5} with their centres 0 and 1 joined
+DOUBLE_STAR = Graph(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
+
+
+def _search_units(t) -> int:
+    budget = _Budget(10**6)
+    _rep_hits(t, budget)
+    return budget.used
+
+
+def _leaves(t, u) -> set:
+    return {v for v in t.neighbors(u) if t.degree(v) == 1}
+
+
+class TestRepresentativesSearch:
+    def test_pool_trees_match_reference(self, perfbench_sparse):
+        workloads, ref = perfbench_sparse
+        keys = [key for key in ref if key.startswith("tree-")]
+        assert len(keys) == 480
+        for key in keys:
+            _, n, i = key.split("-")
+            t = workloads.pool_graph("tree", int(n), int(i))
+            assert verify_tree_diameter_bound(t) == ref_certificate(t), key
+
+    @pytest.mark.parametrize(
+        "t,original,repaired",
+        [(FORK, {1, 3}, {1, 4}), (TWO_SWAPS, {0, 1, 3}, {1, 4, 7})],
+        ids=["fork", "two_swaps"],
+    )
+    def test_original_differs_from_repaired(self, t, original, repaired):
+        cert = verify_tree_diameter_bound(t)
+        assert (cert.original_set, cert.repaired_set) == (original, repaired)
+        assert cert == ref_certificate(t)
+
+    def test_repaired_vertex_with_two_leaves(self):
+        cert = verify_tree_diameter_bound(FORK)
+        assert _leaves(FORK, 4) == {3, 5} and _leaves(FORK, 1) == {0}
+        # 4 gave way to the smaller of its two leaves; 5 also runs in ppt steps
+        assert cert.original_set - cert.repaired_set == {3}
+        assert ppt_of_set(FORK, {1, 5}) == cert.ppt_repaired
+        # the product (1, 0) x (4, 3, 5) costs 6 units beyond the search
+        units = _search_units(FORK) + 6
+        assert verify_tree_diameter_bound(FORK, work_limit=units) == cert
+        with pytest.raises(SearchBudgetExceeded):
+            verify_tree_diameter_bound(FORK, work_limit=units - 1)
+
+    def test_original_swaps_two_repaired_vertices(self):
+        cert = verify_tree_diameter_bound(TWO_SWAPS)
+        assert cert.repaired_set - cert.original_set == {4, 7}
+        assert cert.original_set - cert.repaired_set == {0, 3}
+        assert 0 in _leaves(TWO_SWAPS, 7) and 3 in _leaves(TWO_SWAPS, 4)
+
+
+class TestBudget:
+    def test_needs_fewer_units_than_gamma_p(self):
+        # every minimum PDS costs 167 units; representatives and product 51
+        t = gen_random_tree(16, 5)
+        cert = verify_tree_diameter_bound(t, work_limit=51)
+        assert cert == ref_certificate(t)
+        with pytest.raises(SearchBudgetExceeded):
+            gamma_p(t, work_limit=51)
+        with pytest.raises(SearchBudgetExceeded, match="51 units used"):
+            verify_tree_diameter_bound(t, work_limit=50)
+
+    def test_product_is_charged_before_it_is_built(self, monkeypatch):
+        built = []
+        real = tree_analysis.product
+
+        def recording_product(*choices):
+            built.append(choices)
+            return real(*choices)
+
+        monkeypatch.setattr(tree_analysis, "product", recording_product)
+        # 6 units of search, then 6 x 6 candidates
+        units = _search_units(DOUBLE_STAR) + 36
+        with pytest.raises(SearchBudgetExceeded, match=f"{units} units used"):
+            verify_tree_diameter_bound(DOUBLE_STAR, work_limit=units - 1)
+        assert built == []
+        assert verify_tree_diameter_bound(DOUBLE_STAR, work_limit=units) == ref_certificate(
+            DOUBLE_STAR
+        )
+        assert len(built) == 1
+
+
+def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monkeypatch):
+    # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units
+    budgets = []
+
+    class RecordingBudget(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(tree_analysis, "_Budget", RecordingBudget)
+    workloads, ref = perfbench_sparse
+    for key in ref:
+        if key.startswith("tree-"):
+            _, n, i = key.split("-")
+            verify_tree_diameter_bound(workloads.pool_graph("tree", int(n), int(i)))
+    assert len(budgets) == 480
+    assert len(kernel_runs) <= 6477
+    assert sum(b.used for b in budgets) <= 12951
