@@ -115,7 +115,7 @@ def refuted_diameter_bound(g: Graph) -> Fraction:
 def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """ceil((|V| - gamma_P) / (gamma_P * Delta)); needs n >= 2 so Delta >= 1.
 
-    Only gamma_P is needed, so the search stops at its first hit."""
+    Only gamma_P is needed: the first hit over representatives."""
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")

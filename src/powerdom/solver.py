@@ -47,43 +47,40 @@ a combined witness is the max over its parts. The parts are chosen
 independently, so the least ppt over combined witnesses is the max over
 components of each component's least, and ppt_graph never builds them.
 
-The l-round number uses the same search, changed in four ways.
-(1) Its S are sets of representatives: vertex x is skipped when some
-neighbour y has N[x] strictly inside N[y], or N[x] = N[y] and y < x.
-Swapping x for y keeps l-round success because N[S] can only grow and one
-forcing round is monotone in the observed set (if A is inside B, whatever
-A forces is in B or forced by B), so every later layer grows too; each
-swap raises (|N[y]|, -y), so repeated swaps end at a representative, and
-some minimum l-round PDS T is made of representatives. Every pooled set
-is cut down to the representatives; T meets the cut set wherever it meets
-the whole, so the argument above holds for T with S and excluded inside
-the representatives. (2) The pool starts with the ball B_l(u) of radius l
-around every vertex u: layer l of T is V and lies inside the radius-l
-ball around T, so u is within distance l of T and T meets B_l(u). For
-l = 1 these are the sets N[u], and the search is exact dominating-set
-branching. A run that stops short of V still pools N[V - final], since
-T is a PDS.
-(3) A run that reaches V in more than l steps leaves no fort. T then has
-a vertex outside S, for S is not an l-round PDS, so the node branches on
-the representatives outside S and excluded, which T meets; T is still
-reached exactly once. A run within l steps at |S| < k cannot happen: S
-would be an l-round PDS of |S| representatives, which the search at
-k = |S| reaches. (4) Only the first hit is taken; by the above no
-smaller set of representatives succeeds, so k is the l-round number.
-
-gamma_P and ppt alone (ppt_graph, gamma_p with witnesses=False, the tree
-certificate) come from the search over representatives with pool [reps],
-no binding step limit, and every hit at the least k kept. Take a minimum
-PDS T with ppt(T) = ppt(G) and a vertex x of T that is not a
-representative, with dominating neighbour y. y is not in T: if it were,
-N[T - x] = N[T] and T - x would be a smaller PDS. So T - x + y has |T|
-vertices, and its layers from N[T - x + y] on contain T's, since one
-forcing round is monotone; its ppt is no larger. Repeated swaps end
-inside the representatives, as in (1). So the least k over
-representatives is gamma_P, and the least step count among its hits,
-each reached once, is ppt(G). gamma_p with its witness list runs the
-search over all of V with pool [V] instead: the list must hold every
-minimum PDS, including those that use a dominated vertex such as a leaf.
+Every caller but gamma_p's witness list (ppt_graph, gamma_p with
+witnesses=False, the l-round number, the demo, ppt_lower_bound and the
+tree certificate and repair) runs _rep_search, which changes the search
+above in four ways. (1) Its S are sets of representatives: x is skipped
+when some neighbour y has N[x] strictly inside N[y], or N[x] = N[y] and
+y < x. Call a set successful when it reaches V within l steps (any PDS
+for l >= n). Take a successful T with |T| <= k_max and such an x in T. If
+y is in T, N[T - x] = N[T], so T - x is successful and smaller. Otherwise
+T - x + y has |T| vertices and N[T - x + y] contains N[T]; one forcing
+round is monotone in the observed set (if A is inside B, what A forces is
+in B or forced by B), so each later layer contains T's and it succeeds in
+no more steps. A drop shrinks T and a swap raises (|N[y]|, -y), so
+repeated moves end inside the representatives with at most |T| vertices
+and no more steps. So no hit up to k_max proves that no set of at most
+k_max vertices succeeds, and the first hit has the least k. Pooled sets
+are cut down to the representatives; T meets the cut set wherever it
+meets the whole, so the argument above holds for T with S and excluded
+inside the representatives. (2) The pool starts with the ball B_l(u) of
+radius l around every vertex u: layer l of T is V and lies inside the
+radius-l ball around T, so T meets B_l(u). For l = 1 these are the sets
+N[u], and the search is exact dominating-set branching; for l >= n every
+ball is V. A failed run still pools N[V - final], since T is a PDS. (3) A
+run that reaches V in more than l steps leaves no fort. T then has a
+vertex outside S, for S is not successful, so the node branches on the
+representatives outside S and excluded, which T meets; T is still reached
+exactly once. A run within l steps at |S| < k cannot happen: the search
+at k = |S| would have reached S. (4) ppt_graph, gamma_p with
+witnesses=False and the tree certificate keep every hit at the least k,
+with l >= n. For a minimum PDS T with ppt(T) = ppt(G) the moves of (1)
+are all swaps, since T - x would be a smaller PDS, and end at a hit in
+ppt(G) steps: the least step count among the hits is ppt(G). gamma_p with
+its witness list searches all of V with pool [V] instead: the list must
+hold every minimum PDS, including those that use a dominated vertex such
+as a leaf.
 """
 
 from __future__ import annotations
@@ -234,11 +231,10 @@ def _branch_search(
 def _least_pds(
     g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, k_max: int | None = None
 ) -> tuple | None:
-    """For a connected g: the first power dominating set the search reaches,
-    of gamma_P(g) vertices, or None if none has at most k_max vertices. The
-    search yields its hits at the least k; this takes the first."""
-    full = g.full_mask
-    hit = next(_branch_search(g, _Budget(work_limit), [full], full, g.n, k_max), None)
+    """For a connected g: the first power dominating set the search over
+    representatives reaches, of gamma_P(g) vertices, or None if none has at
+    most k_max vertices."""
+    hit = next(_rep_search(g, _Budget(work_limit), g.n, k_max), None)
     return None if hit is None else hit[0]
 
 
@@ -267,10 +263,10 @@ def _per_component(g: Graph, budget: _Budget, solve: Callable) -> tuple[list, li
 def gamma_p(
     g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, *, witnesses: bool = True
 ) -> GammaResult:
-    """Exact gamma_P(G) with every minimum power dominating set.
-
-    With witnesses=False the witness list is empty and gamma_P and ppt come
-    from the search over representatives, which needs fewer units."""
+    """Exact gamma_P(G) with every minimum power dominating set, from the
+    one search over all of V. With witnesses=False the witness list is
+    empty, and gamma_P and ppt come from the cheaper search over
+    representatives."""
     if not witnesses:
         k, ppt = _gamma_ppt(g, work_limit)
         return GammaResult(gamma_p=k, witnesses=(), ppt_graph=ppt)
@@ -318,17 +314,24 @@ def _representatives(g: Graph) -> int:
     return reps
 
 
-def _rep_hits(g: Graph, budget: _Budget) -> list[tuple[tuple, int]]:
-    """Every hit (S, steps) at the least k over a connected g's representatives."""
+def _rep_search(
+    g: Graph, budget: _Budget, l: int, k_max: int | None = None
+) -> Iterator[tuple[tuple, int]]:
+    """_branch_search over a connected g's representatives, pool as in (2)
+    of the module docstring; l >= n grows no balls, for each would be V."""
     reps = _representatives(g)
-    # N[V] cut down to reps; some minimum PDS lies inside reps
-    return list(_branch_search(g, budget, [reps], reps, g.n))
+    pool = [reps]
+    if l < g.n:
+        for balls in islice(g._grow_balls(), l + 1):
+            pass
+        pool = list(dict.fromkeys(ball & reps for ball in balls))
+    return _branch_search(g, budget, pool, reps, l, k_max)
 
 
 def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:
     """(gamma_P, ppt) from the search over representatives: the sum of the
     components' gamma_P and the max of their least ppt."""
-    _, parts = _per_component(g, _Budget(work_limit), _rep_hits)
+    _, parts = _per_component(g, _Budget(work_limit), lambda h, b: list(_rep_search(h, b, h.n)))
     return sum(len(h[0][0]) for h in parts), max(min(steps for _, steps in h) for h in parts)
 
 
@@ -336,15 +339,6 @@ def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """ppt(G): minimum propagation time over all minimum power dominating
     sets, the max over components of each one's least."""
     return _gamma_ppt(g, work_limit)[1]
-
-
-def _l_round_connected(g: Graph, l: int, budget: _Budget) -> int:
-    reps = _representatives(g)
-    # growth stops by radius n - 1, so a larger l gives the same balls
-    for balls in islice(g._grow_balls(), min(l, g.n) + 1):
-        pass
-    pool = list(dict.fromkeys(ball & reps for ball in balls))
-    return len(next(_branch_search(g, budget, pool, reps, l))[0])
 
 
 def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
@@ -355,5 +349,7 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     """
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
-    _, parts = _per_component(g, _Budget(work_limit), lambda h, b: _l_round_connected(h, l, b))
+    _, parts = _per_component(
+        g, _Budget(work_limit), lambda h, b: len(next(_rep_search(h, b, l))[0])
+    )
     return sum(parts)

@@ -16,9 +16,11 @@ leafless ppt-attaining minimum PDS, which are the repaired sets (a
 leafless set repairs to itself); the least is the repaired set R.
 Minimality keeps a leaf and its neighbour, or two leaves of one
 neighbour, out of a minimum PDS, so a ppt-attaining W that repairs to R
-is R with some u swapped for a leaf of u. The original set, the least
-such W, is the first set in the sorted product over u in R of (u, u's
-leaves) that reaches V in ppt steps.
+is R with some u swapped for a leaf of u, where u has at most two
+leaves: otherwise two or more stay unobserved, and only u, which sees
+them all, could force one. The original set, the least such W, is the
+first set in the sorted product over u in R of (u, u's leaves), or (u,)
+when u has three or more, that reaches V in ppt steps.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import FrozenSet
 from .errors import InternalConsistencyError, NotPowerDominatingError
 from .graph import Graph
 from .propagation import ppt_of_set, propagate
-from .solver import DEFAULT_WORK_LIMIT, _Budget, _least_pds, _rep_hits
+from .solver import DEFAULT_WORK_LIMIT, _Budget, _least_pds, _rep_search
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -123,8 +125,9 @@ def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -
     _check_tree(t)
     diam = t.diameter()
     budget = _Budget(work_limit)
-    ppt, repaired = min((steps, s) for s, steps in _rep_hits(t, budget))
-    choices = [(u, *(v for v in t.neighbors(u) if t.degree(v) == 1)) for u in repaired]
+    ppt, repaired = min((steps, s) for s, steps in _rep_search(t, budget, t.n))
+    leaves = {u: [v for v in t.neighbors(u) if t.degree(v) == 1] for u in repaired}
+    choices = [(u, *vs) if len(vs) < 3 else (u,) for u, vs in leaves.items()]
     budget.spend(prod(map(len, choices)))
     candidates = sorted(tuple(sorted(c)) for c in product(*choices))
     done = (t.full_mask, ppt)

@@ -320,9 +320,11 @@ class TestDemo:
         assert len(kernel_runs) < 300
 
     def test_limit_reaches_the_certified_rows(self, capsys):
-        # the capped search charges one unit per node, 171 on H_13
-        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "50")
+        # the capped search over representatives charges one unit per node, 39 on H_13
+        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "38")
         assert code == 2 and out == "" and "work limit" in err
+        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "39")
+        assert code == 0 and "certified" in out and err == ""
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "demo", "--from", "2", "--to", "4")

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from powerdom.bounds import bounds_report
+from powerdom import solver
+from powerdom.bounds import bounds_report, ppt_lower_bound
+from powerdom.cli import counterexample_demo
 from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import SearchBudgetExceeded
 from powerdom.families import (
@@ -27,12 +29,14 @@ from powerdom.solver import (
     PdsSolution,
     _Budget,
     _gamma_ppt,
-    _l_round_connected,
     _least_pds,
+    _rep_search,
+    _representatives,
     gamma_p,
     l_round_number,
     ppt_graph,
 )
+from powerdom.tree_analysis import repair_leaf_seeds, verify_tree_diameter_bound
 
 
 def brute_minimum_sets(g):
@@ -294,38 +298,51 @@ class TestDisconnected:
 
 
 class TestCap:
-    """The first-hit search against gamma_p: exact uncapped, no hit below
-    gamma_P, and a power dominating set at it."""
+    """The first-hit search over representatives against gamma_p: exact
+    uncapped, no hit below gamma_P, and a power dominating set at it."""
 
     @staticmethod
-    def corpus(catalog_conn_8):
-        yield from (g for g in catalog_conn_8 if g.n <= 7)
-        yield from (gen_h_delta(delta)[0] for delta in range(3, 9))
+    def assert_capped_search_matches(g, gp):
+        hit = _least_pds(g)
+        assert len(hit) == gp and is_pds(g, hit), g.edges()
+        assert _least_pds(g, k_max=gp - 1) is None, g.edges()
+        hit = _least_pds(g, k_max=gp)
+        assert len(hit) == gp and is_pds(g, hit), g.edges()
 
     def test_capped_search_matches_gamma_p(self, catalog_conn_8):
-        for g in self.corpus(catalog_conn_8):
-            gp = gamma_p(g).gamma_p
-            hit = _least_pds(g)
-            assert len(hit) == gp and is_pds(g, hit), g.edges()
-            assert _least_pds(g, k_max=gp - 1) is None, g.edges()
-            hit = _least_pds(g, k_max=gp)
-            assert len(hit) == gp and is_pds(g, hit), g.edges()
+        corpus = [g for g in catalog_conn_8 if g.n <= 7]
+        corpus += [gen_h_delta(delta)[0] for delta in range(3, 9)]
+        for g in corpus:
+            self.assert_capped_search_matches(g, gamma_p(g).gamma_p)
+
+    def test_sparse_pool_matches_reference(self, perfbench_sparse):
+        workloads, ref = perfbench_sparse
+        assert len(ref) == 840
+        for key, want in ref.items():
+            kind, n, i = key.split("-")
+            self.assert_capped_search_matches(
+                workloads.pool_graph(kind, int(n), int(i)), want["gamma_p"]
+            )
+
+    def test_no_singleton_on_certified_rows(self):
+        for delta in range(13, 17):
+            assert _least_pds(gen_h_delta(delta)[0], k_max=1) is None, delta
 
     def test_first_hit_ends_the_search(self):
-        # H_9: the first hit at k = 2 costs 86 units, every hit far more
+        # H_9: the first hit at k = 2 costs 30 units, every hit over V far more
         g, _ = gen_h_delta(9)
-        assert len(_least_pds(g, work_limit=86)) == 2
+        assert len(_least_pds(g, work_limit=30)) == 2
         with pytest.raises(SearchBudgetExceeded):
-            _least_pds(g, work_limit=85)
+            _least_pds(g, work_limit=29)
         with pytest.raises(SearchBudgetExceeded):
-            gamma_p(g, work_limit=86)
+            gamma_p(g, work_limit=30)
 
     def test_cap_is_charged(self):
-        # H_9: the root and one leaf per vertex at k = 1
+        # H_9: the root and one leaf per representative at k = 1
         g, _ = gen_h_delta(9)
-        assert _least_pds(g, work_limit=83, k_max=1) is None
+        assert _least_pds(g, work_limit=27, k_max=1) is None
         with pytest.raises(SearchBudgetExceeded):
-            _least_pds(g, work_limit=82, k_max=1)
+            _least_pds(g, work_limit=26, k_max=1)
 
 
 class TestRepresentativesSearch:
@@ -383,6 +400,58 @@ class TestRepresentativesSearch:
             _gamma_ppt(gen_complete(6), 1)
 
 
+class TestOneSearch:
+    """Every caller that needs only gamma_P, ppt or the l-round number
+    searches the representatives; gamma_p's witness list alone searches V."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The (graph, allowed) pair of every _branch_search call."""
+        calls = []
+        real = solver._branch_search
+
+        def recording(g, budget, pool, allowed, l, k_max=None):
+            calls.append((g, allowed))
+            return real(g, budget, pool, allowed, l, k_max)
+
+        monkeypatch.setattr(solver, "_branch_search", recording)
+        return calls
+
+    @staticmethod
+    def assert_only_representatives(g, searched, calls):
+        for call in calls:
+            call(g)
+            assert searched, g.edges()
+            for h, allowed in searched:
+                assert allowed == _representatives(h), h.edges()
+            searched.clear()
+        gamma_p(g)
+        assert searched == [(g, g.full_mask)], g.edges()
+        searched.clear()
+
+    CALLS = (bounds_report, ppt_lower_bound, ppt_graph, lambda g: l_round_number(g, 1))
+
+    def test_h_delta(self, searched):
+        counterexample_demo(3, 9)
+        assert len(searched) == 7
+        assert all(allowed == _representatives(g) for g, allowed in searched)
+        searched.clear()
+        for delta in range(3, 10):
+            self.assert_only_representatives(gen_h_delta(delta)[0], searched, self.CALLS)
+
+    def test_sparse_pool_trees(self, searched, perfbench_sparse):
+        workloads, ref = perfbench_sparse
+        keys = [key for key in ref if key.startswith("tree-")][:20]
+        tree_calls = (
+            lambda t: repair_leaf_seeds(t, verify_tree_diameter_bound(t).original_set),
+            lambda t: l_round_number(t, 2),
+        )
+        for key in keys:
+            _, n, i = key.split("-")
+            t = workloads.pool_graph("tree", int(n), int(i))
+            self.assert_only_representatives(t, searched, self.CALLS + tree_calls)
+
+
 class TestLRound:
     def test_l1_is_domination_number(self):
         # gamma(P_4) = 2 but gamma_P(P_4) = 1
@@ -436,14 +505,15 @@ class TestLRound:
             assert l_round_number(t, 1) == tree_domination_number(t), t.edges()
 
     def test_huge_l_is_gamma_p(self):
-        # ball growth stops at its fixed point, so l = 10**9 does the same
-        # work as l = n
+        # every ball of radius n - 1 is V, so l >= n pools reps without
+        # growing balls and does the same work as the grown pool at l = n - 1
         for g in [gen_h_delta(delta)[0] for delta in (3, 9, 12)] + [gen_random_tree(30, 7)]:
-            huge, bounded = _Budget(10**6), _Budget(10**6)
-            assert _l_round_connected(g, 10**9, huge) == gamma_p(g).gamma_p
-            _l_round_connected(g, g.n, bounded)
-            assert huge.used == bounded.used
-            assert l_round_number(g, 10**9) == gamma_p(g).gamma_p
+            gp = gamma_p(g).gamma_p
+            budgets = {l: _Budget(10**6) for l in (10**9, g.n, g.n - 1)}
+            for l, budget in budgets.items():
+                assert len(next(_rep_search(g, budget, l))[0]) == gp, l
+            assert len({budget.used for budget in budgets.values()}) == 1
+            assert l_round_number(g, 10**9) == gp
 
     def test_matches_all_subsets_oracle(self):
         # the search skips dominated vertices, so compare every l with a

@@ -7,7 +7,7 @@ from powerdom.errors import InternalConsistencyError, SearchBudgetExceeded
 from powerdom.families import gen_cycle, gen_path, gen_random_tree, gen_spider, gen_star
 from powerdom.graph import Graph
 from powerdom.propagation import is_pds, ppt_of_set, propagate
-from powerdom.solver import _Budget, _rep_hits, gamma_p
+from powerdom.solver import _Budget, _rep_search, gamma_p
 from powerdom.trails import extract_monotone_trail
 from powerdom.tree_analysis import TreeCertificate, repair_leaf_seeds, verify_tree_diameter_bound
 
@@ -222,11 +222,13 @@ FORK = Graph(7, [(0, 1), (1, 2), (1, 4), (2, 6), (3, 4), (4, 5)])
 TWO_SWAPS = Graph(10, [(0, 7), (1, 6), (1, 7), (1, 9), (2, 7), (3, 4), (4, 5), (4, 7), (6, 8)])
 # two stars K_{1,5} with their centres 0 and 1 joined
 DOUBLE_STAR = Graph(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
+# the spine 0 - 1 - 2, each spine vertex with two leaves
+CATERPILLAR = Graph(9, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
 
 
 def _search_units(t) -> int:
     budget = _Budget(10**6)
-    _rep_hits(t, budget)
+    list(_rep_search(t, budget, t.n))
     return budget.used
 
 
@@ -266,6 +268,17 @@ class TestRepresentativesSearch:
         with pytest.raises(SearchBudgetExceeded):
             verify_tree_diameter_bound(FORK, work_limit=units - 1)
 
+    @pytest.mark.parametrize(
+        "t,units", [(gen_star(8), 3), (DOUBLE_STAR, 7)], ids=["star", "double_star"]
+    )
+    def test_vertex_with_three_leaves_is_its_only_choice(self, t, units):
+        # one candidate beyond the search, where listing every centre's
+        # leaves charged 9 (star) and 6 x 6 (double star)
+        assert units == _search_units(t) + 1
+        assert verify_tree_diameter_bound(t, work_limit=units) == ref_certificate(t)
+        with pytest.raises(SearchBudgetExceeded):
+            verify_tree_diameter_bound(t, work_limit=units - 1)
+
     def test_original_swaps_two_repaired_vertices(self):
         cert = verify_tree_diameter_bound(TWO_SWAPS)
         assert cert.repaired_set - cert.original_set == {4, 7}
@@ -293,19 +306,20 @@ class TestBudget:
             return real(*choices)
 
         monkeypatch.setattr(tree_analysis, "product", recording_product)
-        # 6 units of search, then 6 x 6 candidates
-        units = _search_units(DOUBLE_STAR) + 36
+        # 14 units of search, then 3 x 3 x 3 candidates
+        units = _search_units(CATERPILLAR) + 27
         with pytest.raises(SearchBudgetExceeded, match=f"{units} units used"):
-            verify_tree_diameter_bound(DOUBLE_STAR, work_limit=units - 1)
+            verify_tree_diameter_bound(CATERPILLAR, work_limit=units - 1)
         assert built == []
-        assert verify_tree_diameter_bound(DOUBLE_STAR, work_limit=units) == ref_certificate(
-            DOUBLE_STAR
+        assert verify_tree_diameter_bound(CATERPILLAR, work_limit=units) == ref_certificate(
+            CATERPILLAR
         )
         assert len(built) == 1
 
 
 def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monkeypatch):
-    # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units
+    # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units;
+    # every leaf of a vertex with three or more in the product, 6,477 and 12,951
     budgets = []
 
     class RecordingBudget(_Budget):
@@ -320,5 +334,5 @@ def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monk
             _, n, i = key.split("-")
             verify_tree_diameter_bound(workloads.pool_graph("tree", int(n), int(i)))
     assert len(budgets) == 480
-    assert len(kernel_runs) <= 6477
-    assert sum(b.used for b in budgets) <= 12951
+    assert len(kernel_runs) <= 6306
+    assert sum(b.used for b in budgets) <= 12563
