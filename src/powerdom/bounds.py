@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DisconnectedGraphError
 from .graph import Graph
-from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p, ppt_graph
+from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -115,11 +115,12 @@ def refuted_diameter_bound(g: Graph) -> Fraction:
 def ppt_lower_bound(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """ceil((|V| - gamma_P) / (gamma_P * Delta)); needs n >= 2 so Delta >= 1.
 
-    Only gamma_P is needed: the first hit over representatives."""
+    Only gamma_P is needed: the l-round number with l = n, whose search
+    stops at its first hit."""
     _require_connected(g)
     if g.n < 2:
         raise ValueError("ppt lower bound needs n >= 2 (max degree must be positive)")
-    return _ppt_bound(g.n, len(_least_pds(g, work_limit)), g.max_degree())
+    return _ppt_bound(g.n, l_round_number(g, g.n, work_limit), g.max_degree())
 
 
 def tree_lower_bound(g: Graph) -> int:

@@ -31,14 +31,13 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .graph import Graph, check_vertex_count, parse_graph, write_graph
-from .propagation import is_pds, propagate
-from .solver import DEFAULT_WORK_LIMIT, _least_pds, gamma_p, l_round_number, ppt_graph
+from .propagation import propagate
+from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
 from .trails import extract_monotone_trail
 from .tree_analysis import verify_tree_diameter_bound
 
-# largest delta whose demo row is found by the uncapped first-hit search;
-# beyond it gamma_P = 2 is certified by the 2-set witness and a search
-# capped at one vertex that finds no hit
+# every demo row is exact; rows above this delta keep the label
+# "certified", which perfbench's workloads and reference rows pin
 EXACT_DEMO_DELTA = 12
 
 
@@ -85,14 +84,12 @@ def counterexample_demo(
 ) -> list:
     """One report row per delta in [delta_min, delta_max].
 
-    Both modes run the solver's fort search with its first hit ending the
-    search. Through delta = EXACT_DEMO_DELTA the search is uncapped: every
-    smaller cardinality is exhausted before the first hit, so its size is
-    exact gamma_P without the witness list. For larger delta the value 2
-    is certified instead: the standard 2-set witness must power dominate,
-    and the search capped at one vertex must find no hit, which proves
-    that no singleton does. Verdicts compare exact rationals; the decimal
-    rendering is display-only.
+    gamma_P is the l-round number with l = n, one search per row that
+    stops at its first hit: every smaller cardinality is exhausted before
+    it, so its size is exact without the witness list. gamma_mode is only
+    a label, "certified" above EXACT_DEMO_DELTA and "exact" up to it.
+    Verdicts compare exact rationals; the decimal rendering is
+    display-only.
     """
     if not (3 <= delta_min <= delta_max):
         raise ValueError(f"need 3 <= from <= to, got {delta_min}..{delta_max}")
@@ -103,19 +100,7 @@ def counterexample_demo(
         g, _ = families.gen_h_delta(delta)
         diam = g.diameter()
         deg = g.max_degree()
-        if delta <= EXACT_DEMO_DELTA:
-            gamma = len(_least_pds(g, work_limit))
-            mode = "exact"
-        else:
-            witness = {0, delta + 1}
-            if not is_pds(g, witness):
-                raise InternalConsistencyError(
-                    f"construction witness {sorted(witness)} fails for delta={delta}"
-                )
-            if (hit := _least_pds(g, work_limit, k_max=1)) is not None:
-                raise InternalConsistencyError(f"singleton {{{hit[0]}}} power dominates H_{delta}")
-            gamma = 2
-            mode = "certified"
+        gamma = l_round_number(g, g.n, work_limit)
         refuted = _refuted_bound(g.n, diam, deg)
         rows.append(
             {
@@ -124,7 +109,7 @@ def counterexample_demo(
                 "diam": diam,
                 "max_degree": deg,
                 "gamma_p": gamma,
-                "gamma_mode": mode,
+                "gamma_mode": "exact" if delta <= EXACT_DEMO_DELTA else "certified",
                 "refuted_bound": refuted,
                 "refutation_flag": refuted > gamma,
             }

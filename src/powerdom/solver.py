@@ -32,14 +32,9 @@ a cap on work (one unit per search node, plus one per combined witness on
 a disconnected graph) turns runaway inputs into SearchBudgetExceeded
 rather than an approximate answer.
 
-The search can also stop at a cap k_max on the cardinality. The argument
-above holds for any successful set T of k allowed vertices, minimum or
-not, once every smaller k has found nothing: the search at k reaches T.
-Every k up to the cap is searched in full, so a search that reaches the
-cap with no hit proves that no set of at most k_max allowed vertices
-succeeds. The search yields its hits at the least k; a caller that needs
-only the number takes the first: every k' < k was exhausted before it,
-so k is exact without the witness list.
+The search yields its hits at the least k; a caller that needs only the
+number takes the first: every k' < k was exhausted before it, so k is
+exact without the witness list.
 
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
@@ -48,27 +43,27 @@ independently, so the least ppt over combined witnesses is the max over
 components of each component's least, and ppt_graph never builds them.
 
 Every caller but gamma_p's witness list (ppt_graph, gamma_p with
-witnesses=False, the l-round number, the demo, ppt_lower_bound and the
-tree certificate and repair) runs _rep_search, which changes the search
-above in four ways. (1) Its S are sets of representatives: x is skipped
-when some neighbour y has N[x] strictly inside N[y], or N[x] = N[y] and
-y < x. Call a set successful when it reaches V within l steps (any PDS
-for l >= n). Take a successful T with |T| <= k_max and such an x in T. If
-y is in T, N[T - x] = N[T], so T - x is successful and smaller. Otherwise
-T - x + y has |T| vertices and N[T - x + y] contains N[T]; one forcing
-round is monotone in the observed set (if A is inside B, what A forces is
-in B or forced by B), so each later layer contains T's and it succeeds in
-no more steps. A drop shrinks T and a swap raises (|N[y]|, -y), so
-repeated moves end inside the representatives with at most |T| vertices
-and no more steps. So no hit up to k_max proves that no set of at most
-k_max vertices succeeds, and the first hit has the least k. Pooled sets
-are cut down to the representatives; T meets the cut set wherever it
-meets the whole, so the argument above holds for T with S and excluded
-inside the representatives. (2) The pool starts with the ball B_l(u) of
-radius l around every vertex u: layer l of T is V and lies inside the
-radius-l ball around T, so T meets B_l(u). For l = 1 these are the sets
-N[u], and the search is exact dominating-set branching; for l >= n every
-ball is V. A failed run still pools N[V - final], since T is a PDS. (3) A
+witnesses=False, the tree certificate, and l_round_number, which with
+l = n gives gamma_P to the demo, ppt_lower_bound and the tree repair)
+runs _rep_search, which changes the search above in four ways. (1) Its S
+are sets of representatives: x is skipped when some neighbour y has N[x]
+strictly inside N[y], or N[x] = N[y] and y < x. Call a set successful
+when it reaches V within l steps (any PDS for l >= n). Take a successful
+T and such an x in T. If y is in T, N[T - x] = N[T], so T - x is
+successful and smaller. Otherwise T - x + y has |T| vertices and
+N[T - x + y] contains N[T]; one forcing round is monotone in the observed
+set (if A is inside B, what A forces is in B or forced by B), so each
+later layer contains T's and it succeeds in no more steps. A drop shrinks
+T and a swap raises (|N[y]|, -y), so repeated moves end inside the
+representatives with at most |T| vertices and no more steps. So the least
+k over the representatives is the least over V, and the first hit has
+it. Pooled sets are cut down to the representatives; T meets the cut set
+wherever it meets the whole, so the argument above holds for T with S and
+excluded inside the representatives. (2) The pool starts with the ball
+B_l(u) of radius l around every vertex u: layer l of T is V and lies
+inside the radius-l ball around T, so T meets B_l(u). For l = 1 these are
+the sets N[u], and the search is exact dominating-set branching; for
+l >= n every ball is V. A failed run still pools N[V - final], since T is a PDS. (3) A
 run that reaches V in more than l steps leaves no fort. T then has a
 vertex outside S, for S is not successful, so the node branches on the
 representatives outside S and excluded, which T meets; T is still reached
@@ -147,22 +142,15 @@ class _Budget:
 
 
 def _branch_search(
-    g: Graph,
-    budget: _Budget,
-    pool: list[int],
-    allowed: int,
-    l: int,
-    k_max: int | None = None,
+    g: Graph, budget: _Budget, pool: list[int], allowed: int, l: int
 ) -> Iterator[tuple[tuple, int]]:
     """Yield (S as a vertex tuple, steps) for every S inside allowed that
     reaches V within l steps, at the least k = |S| where one does, then
-    stop. Nothing is yielded if no such S has |S| <= k_max (no cap when
-    k_max is None). A caller that needs only k takes the first hit. pool
-    holds sets inside allowed that every such S meets; the search appends
+    stop. A caller that needs only k takes the first hit. pool holds sets
+    inside allowed that every such S meets; the search appends
     N[V - final] & allowed for each failed run."""
     core = g.core
     full = g.full_mask
-    top = allowed.bit_count() if k_max is None else min(k_max, allowed.bit_count())
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
@@ -170,7 +158,7 @@ def _branch_search(
         pool.append(nf)
         return nf
 
-    for k in range(1, top + 1):
+    for k in range(1, allowed.bit_count() + 1):
         budget.k = k
         found = False
         # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
@@ -224,18 +212,7 @@ def _branch_search(
                 stack.append((s | b, excluded | branch, room - 1, missed, seen))
         if found:
             return
-    if k_max is None:
-        raise AssertionError("allowed always succeeds as a whole; unreachable")
-
-
-def _least_pds(
-    g: Graph, work_limit: int = DEFAULT_WORK_LIMIT, k_max: int | None = None
-) -> tuple | None:
-    """For a connected g: the first power dominating set the search over
-    representatives reaches, of gamma_P(g) vertices, or None if none has at
-    most k_max vertices."""
-    hit = next(_rep_search(g, _Budget(work_limit), g.n, k_max), None)
-    return None if hit is None else hit[0]
+    raise AssertionError("allowed always succeeds as a whole; unreachable")
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
@@ -314,9 +291,7 @@ def _representatives(g: Graph) -> int:
     return reps
 
 
-def _rep_search(
-    g: Graph, budget: _Budget, l: int, k_max: int | None = None
-) -> Iterator[tuple[tuple, int]]:
+def _rep_search(g: Graph, budget: _Budget, l: int) -> Iterator[tuple[tuple, int]]:
     """_branch_search over a connected g's representatives, pool as in (2)
     of the module docstring; l >= n grows no balls, for each would be V."""
     reps = _representatives(g)
@@ -325,7 +300,7 @@ def _rep_search(
         for balls in islice(g._grow_balls(), l + 1):
             pass
         pool = list(dict.fromkeys(ball & reps for ball in balls))
-    return _branch_search(g, budget, pool, reps, l, k_max)
+    return _branch_search(g, budget, pool, reps, l)
 
 
 def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:

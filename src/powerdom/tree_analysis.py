@@ -25,15 +25,14 @@ when u has three or more, that reaches V in ppt steps.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
-from math import prod
 from typing import FrozenSet
 
 from .errors import InternalConsistencyError, NotPowerDominatingError
 from .graph import Graph
 from .propagation import ppt_of_set, propagate
-from .solver import DEFAULT_WORK_LIMIT, _Budget, _least_pds, _rep_search
+from .solver import DEFAULT_WORK_LIMIT, _Budget, _rep_search, l_round_number
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -111,16 +110,37 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
         ppt = ppt_of_set(t, seed)
     except NotPowerDominatingError:
         raise ValueError(f"{sorted(seed)} is not a power dominating set") from None
-    if len(seed) != len(_least_pds(t)):
+    if len(seed) != l_round_number(t, t.n):
         raise ValueError(f"{sorted(seed)} is not a minimum power dominating set")
     return _repair(t, seed, ppt)
+
+
+def _sorted_picks(groups: list) -> Iterator[tuple]:
+    """Yield, in lexicographic order, the sorted tuples that take one vertex
+    from each of the disjoint groups, without building them all."""
+    items = sorted((v, 1 << i) for i, grp in enumerate(groups) for v in grp)
+    last = {b: j for j, (_, b) in enumerate(items)}
+    # (next index into items, groups still unpicked, the pick so far)
+    stack = [(0, (1 << len(groups)) - 1, ())]
+    while stack:
+        start, left, pick = stack.pop()
+        if not left:
+            yield pick
+            continue
+        # a vertex past an unpicked group's last one would leave that group empty
+        stop = min(j for b, j in last.items() if left & b)
+        # highest pushed first, so the lowest is taken first
+        for j in range(stop, start - 1, -1):
+            v, b = items[j]
+            if left & b:
+                stack.append((j + 1, left ^ b, (*pick, v)))
 
 
 def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> TreeCertificate:
     """Certify ppt(T) <= diam(T) - 1 with an explicit witness path.
 
     work_limit caps the search over representatives, as in solver.ppt_graph,
-    plus one unit per candidate for the original set.
+    plus one unit per candidate tested for the original set.
     """
     _check_tree(t)
     diam = t.diameter()
@@ -128,10 +148,12 @@ def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -
     ppt, repaired = min((steps, s) for s, steps in _rep_search(t, budget, t.n))
     leaves = {u: [v for v in t.neighbors(u) if t.degree(v) == 1] for u in repaired}
     choices = [(u, *vs) if len(vs) < 3 else (u,) for u, vs in leaves.items()]
-    budget.spend(prod(map(len, choices)))
-    candidates = sorted(tuple(sorted(c)) for c in product(*choices))
     done = (t.full_mask, ppt)
-    original = next(c for c in candidates if t.core.fixed_point(sum(1 << v for v in c)) == done)
+    # the repaired set is a candidate, so the loop always breaks
+    for original in _sorted_picks(choices):
+        budget.spend()
+        if t.core.fixed_point(sum(1 << v for v in original)) == done:
+            break
     if _repair(t, frozenset(original), ppt) != frozenset(repaired):
         raise InternalConsistencyError(f"{list(original)} does not repair to {list(repaired)}")
 

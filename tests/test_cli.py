@@ -320,10 +320,10 @@ class TestDemo:
         assert len(kernel_runs) < 300
 
     def test_limit_reaches_the_certified_rows(self, capsys):
-        # the capped search over representatives charges one unit per node, 39 on H_13
-        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "38")
+        # the search over representatives charges one unit per node, 42 on H_13
+        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "41")
         assert code == 2 and out == "" and "work limit" in err
-        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "39")
+        code, out, err = run(capsys, "demo", "--from", "13", "--to", "13", "--limit", "42")
         assert code == 0 and "certified" in out and err == ""
 
     def test_bad_range(self, capsys):

@@ -16,6 +16,7 @@ from powerdom.families import (
     gen_star,
 )
 from powerdom.graph import Graph, check_edge_count, check_vertex_count
+from powerdom.propagation import is_pds
 from powerdom.solver import gamma_p, l_round_number
 
 
@@ -60,6 +61,13 @@ class TestHDelta:
         g, spec = gen_h_delta(3)
         third = [v + 1 for v in range(g.n) if spec.levels[v] == 3]
         assert third == [5, 6, 7, 8, 9, 10]
+
+    @pytest.mark.parametrize("delta", range(3, 17))
+    def test_construction_witness_power_dominates(self, delta):
+        # the root and the first level-3 vertex, one end of the level-3 path
+        g, spec = gen_h_delta(delta)
+        assert spec.levels[delta + 1] == 3
+        assert is_pds(g, {0, delta + 1})
 
     def test_rejects_small_delta(self):
         with pytest.raises(ValueError):

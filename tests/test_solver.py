@@ -29,7 +29,6 @@ from powerdom.solver import (
     PdsSolution,
     _Budget,
     _gamma_ppt,
-    _least_pds,
     _rep_search,
     _representatives,
     gamma_p,
@@ -298,16 +297,15 @@ class TestDisconnected:
 
 
 class TestCap:
-    """The first-hit search over representatives against gamma_p: exact
-    uncapped, no hit below gamma_P, and a power dominating set at it."""
+    """The first hit over representatives, under the work cap, against
+    gamma_p: a power dominating set of gamma_P vertices, and l_round_number
+    with l = n, which stops at that hit, equal to gamma_P."""
 
     @staticmethod
     def assert_capped_search_matches(g, gp):
-        hit = _least_pds(g)
+        hit, _ = next(_rep_search(g, _Budget(DEFAULT_WORK_LIMIT), g.n))
         assert len(hit) == gp and is_pds(g, hit), g.edges()
-        assert _least_pds(g, k_max=gp - 1) is None, g.edges()
-        hit = _least_pds(g, k_max=gp)
-        assert len(hit) == gp and is_pds(g, hit), g.edges()
+        assert l_round_number(g, g.n) == gp, g.edges()
 
     def test_capped_search_matches_gamma_p(self, catalog_conn_8):
         corpus = [g for g in catalog_conn_8 if g.n <= 7]
@@ -326,23 +324,25 @@ class TestCap:
 
     def test_no_singleton_on_certified_rows(self):
         for delta in range(13, 17):
-            assert _least_pds(gen_h_delta(delta)[0], k_max=1) is None, delta
+            g, _ = gen_h_delta(delta)
+            assert l_round_number(g, g.n) == 2, delta
 
     def test_first_hit_ends_the_search(self):
         # H_9: the first hit at k = 2 costs 30 units, every hit over V far more
         g, _ = gen_h_delta(9)
-        assert len(_least_pds(g, work_limit=30)) == 2
+        assert l_round_number(g, g.n, work_limit=30) == 2
         with pytest.raises(SearchBudgetExceeded):
-            _least_pds(g, work_limit=29)
+            l_round_number(g, g.n, work_limit=29)
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(g, work_limit=30)
 
     def test_cap_is_charged(self):
-        # H_9: the root and one leaf per representative at k = 1
+        # H_9: the root and one leaf per representative exhaust k = 1 in 27 units
         g, _ = gen_h_delta(9)
-        assert _least_pds(g, work_limit=27, k_max=1) is None
-        with pytest.raises(SearchBudgetExceeded):
-            _least_pds(g, work_limit=26, k_max=1)
+        with pytest.raises(SearchBudgetExceeded, match="27 units used with the search at k = 1"):
+            l_round_number(g, g.n, work_limit=26)
+        with pytest.raises(SearchBudgetExceeded, match="28 units used with the search at k = 2"):
+            l_round_number(g, g.n, work_limit=27)
 
 
 class TestRepresentativesSearch:
@@ -410,9 +410,9 @@ class TestOneSearch:
         calls = []
         real = solver._branch_search
 
-        def recording(g, budget, pool, allowed, l, k_max=None):
+        def recording(g, budget, pool, allowed, l):
             calls.append((g, allowed))
-            return real(g, budget, pool, allowed, l, k_max)
+            return real(g, budget, pool, allowed, l)
 
         monkeypatch.setattr(solver, "_branch_search", recording)
         return calls
@@ -432,8 +432,9 @@ class TestOneSearch:
     CALLS = (bounds_report, ppt_lower_bound, ppt_graph, lambda g: l_round_number(g, 1))
 
     def test_h_delta(self, searched):
-        counterexample_demo(3, 9)
-        assert len(searched) == 7
+        # one search per row, the rows above EXACT_DEMO_DELTA included
+        counterexample_demo(3, 16)
+        assert len(searched) == 14
         assert all(allowed == _representatives(g) for g, allowed in searched)
         searched.clear()
         for delta in range(3, 10):

@@ -5,8 +5,9 @@ the engine's two kernel calls. A rename in powerdom would otherwise show
 only as a failed traced benchmark run, since perfbench's own tests are
 not part of this suite. The tracer file is loaded by path, unedited.
 
-One test pins that bounds_report reaches the kernel under a solver span,
-as perfbench's span-nesting test requires. The last pins what
+One test pins that bounds_report, ppt_lower_bound, the demo and the leaf
+repair reach the kernel under a solver span, as perfbench's span-nesting
+test requires of bounds_report. The last pins what
 perfbench's workloads and tests read from results: the demo's
 exact/certified threshold, trace layers as an init field of frozensets,
 and the fields of GammaResult they compare.
@@ -46,29 +47,48 @@ def test_kernel_engine_has_the_traced_calls():
         assert callable(getattr(_kernel.PropagationCore, meth, None)), meth
 
 
-def test_bounds_reaches_the_kernel_under_a_solver_span():
-    # perfbench's span test needs the chain bounds -> solver -> kernel
-    tracer = _tracer()
-    for _, modname, _ in tracer.TARGETS:
-        importlib.import_module(modname)
-    from powerdom import bounds, families
-
-    g, _ = families.gen_h_delta(3)
+def _kernel_chains(tracer, call) -> set:
+    """The (grandparent, parent) layers of every kernel span under call."""
     t = tracer.Tracer()
     t.install()
     try:
-        bounds.bounds_report(g)
+        call()
     finally:
         t.uninstall()
+    assert not t.unrestored()
     rec = t.rec
     layer = [rec.names[i][0] for i in rec.name]
-    chains = {
+    return {
         (layer[rec.parent[p]], layer[p])
         for i, p in enumerate(rec.parent)
         if layer[i] == "kernel" and p != tracer.ROOT and rec.parent[p] != tracer.ROOT
     }
-    assert ("bounds", "solver") in chains
-    assert not t.unrestored()
+
+
+def test_bounds_reaches_the_kernel_under_a_solver_span():
+    # perfbench's span test needs the chain bounds -> solver -> kernel; the
+    # demo, ppt_lower_bound and the leaf repair enter the solver the same way
+    tracer = _tracer()
+    for _, modname, _ in tracer.TARGETS:
+        importlib.import_module(modname)
+    from powerdom import bounds, cli, families, tree_analysis
+
+    def h3():
+        # a fresh graph, so that its kernel is built under the tracer
+        return families.gen_h_delta(3)[0]
+
+    # looked up at call time, for the tracer rebinds the module attributes
+    calls = {
+        "bounds_report": ("bounds", lambda: bounds.bounds_report(h3())),
+        "ppt_lower_bound": ("bounds", lambda: bounds.ppt_lower_bound(h3())),
+        "counterexample_demo": ("cli", lambda: cli.counterexample_demo(3, 3)),
+        "repair_leaf_seeds": (
+            "tree_analysis",
+            lambda: tree_analysis.repair_leaf_seeds(families.gen_path(5), {0}),
+        ),
+    }
+    for name, (caller, call) in calls.items():
+        assert (caller, "solver") in _kernel_chains(tracer, call), name
 
 
 def test_perfbench_read_contract():

@@ -1,5 +1,8 @@
 """Leaf-seed repair and the tree diameter certificate."""
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from powerdom import tree_analysis
@@ -209,7 +212,8 @@ def test_benchmark_accepts_every_reference_tree_certificate(perfbench_sparse):
 #
 # The certificate takes gamma_P, ppt and the repaired set from the search
 # over representatives, then the original set from the product over the
-# repaired vertices u of (u, u's leaves). Two trees drawn by hand:
+# repaired vertices u of (u, u's leaves), drawn lazily in sorted order.
+# Two trees drawn by hand:
 #
 #   FORK:   0 - 1 - 2 - 6        1 carries leaf 0 and the path 1-2-6;
 #               |                4 carries leaves 3 and 5, so it has three
@@ -222,8 +226,15 @@ FORK = Graph(7, [(0, 1), (1, 2), (1, 4), (2, 6), (3, 4), (4, 5)])
 TWO_SWAPS = Graph(10, [(0, 7), (1, 6), (1, 7), (1, 9), (2, 7), (3, 4), (4, 5), (4, 7), (6, 8)])
 # two stars K_{1,5} with their centres 0 and 1 joined
 DOUBLE_STAR = Graph(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
-# the spine 0 - 1 - 2, each spine vertex with two leaves
-CATERPILLAR = Graph(9, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
+
+
+def caterpillar(k: int) -> Graph:
+    """The spine 0 - 1 - ... - k-1, spine vertex i with leaves k+2i and k+2i+1."""
+    edges = [(i, i + 1) for i in range(k - 1)]
+    return Graph(3 * k, edges + [(i, k + 2 * i + j) for i in range(k) for j in range(2)])
+
+
+CATERPILLAR = caterpillar(3)
 
 
 def _search_units(t) -> int:
@@ -262,8 +273,9 @@ class TestRepresentativesSearch:
         # 4 gave way to the smaller of its two leaves; 5 also runs in ppt steps
         assert cert.original_set - cert.repaired_set == {3}
         assert ppt_of_set(FORK, {1, 5}) == cert.ppt_repaired
-        # the product (1, 0) x (4, 3, 5) costs 6 units beyond the search
-        units = _search_units(FORK) + 6
+        # (0, 3), (0, 4), (0, 5) and (1, 3), the first four candidates of
+        # (1, 0) x (4, 3, 5), cost a unit each beyond the search
+        units = _search_units(FORK) + 4
         assert verify_tree_diameter_bound(FORK, work_limit=units) == cert
         with pytest.raises(SearchBudgetExceeded):
             verify_tree_diameter_bound(FORK, work_limit=units - 1)
@@ -288,38 +300,50 @@ class TestRepresentativesSearch:
 
 class TestBudget:
     def test_needs_fewer_units_than_gamma_p(self):
-        # every minimum PDS costs 167 units; representatives and product 51
+        # every minimum PDS costs 167 units; representatives and the tested
+        # candidates 46
         t = gen_random_tree(16, 5)
-        cert = verify_tree_diameter_bound(t, work_limit=51)
+        cert = verify_tree_diameter_bound(t, work_limit=46)
         assert cert == ref_certificate(t)
         with pytest.raises(SearchBudgetExceeded):
-            gamma_p(t, work_limit=51)
-        with pytest.raises(SearchBudgetExceeded, match="51 units used"):
-            verify_tree_diameter_bound(t, work_limit=50)
+            gamma_p(t, work_limit=46)
+        with pytest.raises(SearchBudgetExceeded, match="46 units used"):
+            verify_tree_diameter_bound(t, work_limit=45)
 
-    def test_product_is_charged_before_it_is_built(self, monkeypatch):
-        built = []
-        real = tree_analysis.product
-
-        def recording_product(*choices):
-            built.append(choices)
-            return real(*choices)
-
-        monkeypatch.setattr(tree_analysis, "product", recording_product)
-        # 14 units of search, then 3 x 3 x 3 candidates
-        units = _search_units(CATERPILLAR) + 27
+    def test_only_tested_candidates_are_charged(self):
+        # 14 units of search, then the first of the 3 x 3 x 3 candidates,
+        # the spine itself, which attains ppt
+        units = _search_units(CATERPILLAR) + 1
         with pytest.raises(SearchBudgetExceeded, match=f"{units} units used"):
             verify_tree_diameter_bound(CATERPILLAR, work_limit=units - 1)
-        assert built == []
-        assert verify_tree_diameter_bound(CATERPILLAR, work_limit=units) == ref_certificate(
-            CATERPILLAR
-        )
-        assert len(built) == 1
+        cert = verify_tree_diameter_bound(CATERPILLAR, work_limit=units)
+        assert cert == ref_certificate(CATERPILLAR)
+        assert cert.original_set == {0, 1, 2}
+
+    def test_candidates_are_never_all_built(self):
+        # 3^12 candidates: building and sorting them all peaked at 78 MB
+        t = caterpillar(12)
+        tracemalloc.start()
+        try:
+            cert = verify_tree_diameter_bound(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.original_set == set(range(12))
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "groups", [[(7, 0, 2), (1, 9), (4, 3, 5), (6,)], [(1, 8), (0,), (2, 3, 9)], [(5,)]]
+    )
+    def test_candidates_in_sorted_order(self, groups):
+        want = sorted(tuple(sorted(c)) for c in itertools.product(*groups))
+        assert list(tree_analysis._sorted_picks(groups)) == want
 
 
 def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monkeypatch):
     # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units;
-    # every leaf of a vertex with three or more in the product, 6,477 and 12,951
+    # every leaf of a vertex with three or more in the product, 6,477 and
+    # 12,951; charging the whole product before the first test, 6,306 and 12,563
     budgets = []
 
     class RecordingBudget(_Budget):
@@ -335,4 +359,4 @@ def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monk
             verify_tree_diameter_bound(workloads.pool_graph("tree", int(n), int(i)))
     assert len(budgets) == 480
     assert len(kernel_runs) <= 6306
-    assert sum(b.used for b in budgets) <= 12563
+    assert sum(b.used for b in budgets) <= 11321
