@@ -9,11 +9,18 @@ Each forcing round after the first scans only the observed vertices in
 N[new], where new is what the previous round added: a vertex outside
 N[new] has the same unobserved neighbours as in that round, and if it had
 exactly one then, it forced it, which would put the vertex in N[new].
+
+fixed_point and layer_masks share one round loop, _run. A round is
+simultaneous: it reads the set observed before it and writes a new one,
+so the order in which it scans vertices changes nothing, and _run takes
+bits highest first. Every mask in the loop stays non-negative (a bit is
+cleared with XOR, and the unobserved set is full ^ cur, not ~cur), so no
+multiword int is ever negated on the way.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 def _range_error(what: str, n: int) -> ValueError:
@@ -25,7 +32,7 @@ class PropagationCore:
 
     backend = "pure"
 
-    __slots__ = ("_adj", "_n")
+    __slots__ = ("_adj", "_n", "_full")
 
     def __init__(self, adj_masks: Sequence[int], n: int):
         adj = list(adj_masks)
@@ -36,50 +43,60 @@ class PropagationCore:
                 raise _range_error("adj_masks row", n)
         self._adj = adj
         self._n = n
+        self._full = (1 << n) - 1
 
-    def _closed_nbhd(self, m: int) -> int:
+    def _run(self, start: int, layers: list[int] | None) -> tuple[int, int]:
+        """Run from start to the fixed point; return (final mask, least l
+        with S[l+1] == S[l]). When layers is a list, append S[1], S[2], ...
+        to it while each differs from the one before."""
         adj = self._adj
-        out = m
+        full = self._full
+        # S[1] = N[S]
+        cur = m = start
         while m:
-            b = m & -m
-            out |= adj[b.bit_length() - 1]
-            m ^= b
-        return out
-
-    def _rounds(self, start: int) -> Iterator[int]:
-        """Yield S[1], S[2], ... while each differs from the one before."""
-        adj = self._adj
-        cur = self._closed_nbhd(start)
+            i = m.bit_length() - 1
+            m ^= 1 << i
+            cur |= adj[i]
         if cur == start:
-            return
-        yield cur
+            return start, 0
+        if layers is not None:
+            layers.append(cur)
+        steps = 1
         active = cur
         while True:
+            unobserved = full ^ cur
             nxt = cur
             m = active
             while m:
-                b = m & -m
-                m ^= b
-                u = adj[b.bit_length() - 1] & ~cur
+                i = m.bit_length() - 1
+                m ^= 1 << i
+                u = adj[i] & unobserved
                 if u and not (u & (u - 1)):
                     nxt |= u
             if nxt == cur:
-                return
-            yield nxt
-            active = self._closed_nbhd(nxt & ~cur) & nxt
+                return cur, steps
+            if layers is not None:
+                layers.append(nxt)
+            steps += 1
+            # the observed vertices of N[new]
+            m = new = nxt ^ cur
+            while m:
+                i = m.bit_length() - 1
+                m ^= 1 << i
+                new |= adj[i]
+            active = new & nxt
             cur = nxt
 
     def fixed_point(self, start: int) -> tuple[int, int]:
         """Run to the fixed point; return (final mask, least l with S[l+1] == S[l])."""
         if start < 0 or start >> self._n:
             raise _range_error("mask", self._n)
-        cur, steps = start, 0
-        for steps, cur in enumerate(self._rounds(start), 1):
-            pass
-        return cur, steps
+        return self._run(start, None)
 
     def layer_masks(self, start: int) -> list[int]:
         """All distinct layers S[0], S[1], ... up to the fixed point."""
         if start < 0 or start >> self._n:
             raise _range_error("mask", self._n)
-        return [start, *self._rounds(start)]
+        layers = [start]
+        self._run(start, layers)
+        return layers

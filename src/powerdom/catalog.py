@@ -57,11 +57,9 @@ from .graph import Graph, _bits
 def _refined_colors(n: int, masks: list) -> list:
     """Iterated neighbor-multiset color refinement; colors are canonical ints."""
     colors = [m.bit_count() for m in masks]
+    nbrs = [_bits(m) for m in masks]
     for _ in range(n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(masks[v]))))
-            for v in range(n)
-        ]
+        sigs = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [relabel[s] for s in sigs]
         if new == colors:
@@ -200,8 +198,15 @@ def _canonical_children(parent: Graph) -> list:
         at[d] |= 1 << u
     best, orders, twins = _search(v, pm)
     parent_cert = (v,) + best
-    # each generator as the bit of every vertex's image
-    images = [[1 << w for w in perm] for perm in _generators(orders, twins)]
+    # one image table per generator: tab[s] is the image of the vertex set
+    # s, built by adding vertex u to the table of the sets below 1 << u
+    tables = []
+    for perm in _generators(orders, twins):
+        tab = [0]
+        for w in perm:
+            bit = 1 << w
+            tab += [t | bit for t in tab]
+        tables.append(tab)
     # marked[sub]: sub lies in the Aut(P)-orbit of a neighbourhood already met
     marked = bytearray(hi)
     tie_certs = set()
@@ -214,10 +219,8 @@ def _canonical_children(parent: Graph) -> list:
         stack = [sub]
         while stack:
             s = stack.pop()
-            for img in images:
-                t = 0
-                for u in _bits(s):
-                    t |= img[u]
+            for tab in tables:
+                t = tab[s]
                 if not marked[t]:
                     marked[t] = 1
                     stack.append(t)

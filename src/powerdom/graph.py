@@ -99,12 +99,25 @@ class Graph:
         return (1 << self.n) - 1
 
     def closed_neighbourhood(self, mask: int) -> int:
-        """N[X] for the vertex set X given as a mask."""
+        """N[X] for the vertex set X given as a mask.
+
+        When X holds more than half of V, the walk is over the complement
+        instead: N[X] is X plus every y outside X whose row meets X."""
+        masks = self._masks
         out = mask
-        while mask:
-            b = mask & -mask
-            out |= self._masks[b.bit_length() - 1]
-            mask ^= b
+        if 2 * mask.bit_count() > self.n:
+            rest = self.full_mask ^ mask
+            while rest:
+                i = rest.bit_length() - 1
+                b = 1 << i
+                rest ^= b
+                if masks[i] & mask:
+                    out |= b
+        else:
+            while mask:
+                i = mask.bit_length() - 1
+                mask ^= 1 << i
+                out |= masks[i]
         return out
 
     @property

@@ -154,7 +154,7 @@ def _branch_search(
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
-        nf = g.closed_neighbourhood(full & ~final) & allowed
+        nf = g.closed_neighbourhood(full ^ final) & allowed
         pool.append(nf)
         return nf
 
@@ -228,12 +228,13 @@ def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
 def _per_component(g: Graph, budget: _Budget, solve: Callable) -> tuple[list, list]:
     """The components' vertex lists and solve(component, budget) for each;
     ValueError if g is empty. Propagation never crosses components, so each
-    is solved alone; a connected g is solved as itself, without a copy."""
-    comps = g.components()
-    if not comps:
+    is solved alone. A connected g, found by one grow from vertex 0, is
+    solved as itself, with no component list and no copy."""
+    if g.n == 0:
         raise ValueError("power domination of the empty graph is undefined")
-    if len(comps) == 1:
-        return comps, [solve(g, budget)]
+    if g.is_connected():
+        return [range(g.n)], [solve(g, budget)]
+    comps = g.components()
     return comps, [solve(g.subgraph(comp), budget) for comp in comps]
 
 

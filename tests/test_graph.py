@@ -292,6 +292,21 @@ class TestQueries:
             assert g.components() == comps, g.edges()
             assert g.is_connected() == (len(comps) == 1)
 
+    def test_closed_neighbourhood_matches_definition(self):
+        # sets of at most and of more than n/2 vertices take the two walks
+        h11, _ = gen_h_delta(11)
+        cases = [(name, Graph(n, edges)) for name, n, edges in MULTIWORD if n <= 129]
+        for name, g in cases + [("H_11", h11)]:
+            rng = random.Random(g.n)
+            half = g.n // 2
+            sizes = (0, 1, half - 1, half, half + 1, g.n - 1, g.n)
+            for size in sizes + tuple(rng.randrange(g.n + 1) for _ in range(10)):
+                chosen = rng.sample(range(g.n), size)
+                expected = set(chosen).union(*(g.neighbors(v) for v in chosen))
+                mask = sum(1 << v for v in chosen)
+                got = g.closed_neighbourhood(mask)
+                assert got == sum(1 << v for v in expected), (name, size)
+
     def test_subgraph_relabels(self):
         g = gen_cycle(5)
         sub = g.subgraph([1, 2, 3])

@@ -6,6 +6,7 @@ on catalogs and random instances.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,20 @@ class TestPropagate:
             start = to_mask(seeds)
             assert core.fixed_point(start) == (ref[-1], len(ref) - 1)
             assert core.layer_masks(start) == ref
+
+    def test_pure_fixed_point_keeps_no_layers(self):
+        # a run of 3,000 rounds: layer_masks peaks near 0.7 MB (n^2 / 8 bytes
+        # is 1.1 MB), fixed_point near 4 KB, since it holds O(1) masks
+        n = 3000
+        g = gen_path(n)
+        core = _pycore.PropagationCore(g.adjacency_masks, g.n)
+        tracemalloc.start()
+        try:
+            assert core.fixed_point(1) == (g.full_mask, n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 8 // 16
 
     @settings(max_examples=150, deadline=None)
     @given(seeded_graphs(max_n=6))
