@@ -278,14 +278,10 @@ PyMODINIT_FUNC PyInit__core(void)
     if (module == NULL)
         return NULL;
     PyObject *type = PyType_FromSpec(&Core_spec);
-    PyObject *backend = PyUnicode_FromString("compiled");
-    if (type == NULL || backend == NULL || PyObject_SetAttrString(type, "backend", backend) < 0
-        || PyModule_AddObject(module, "PropagationCore", type) < 0) {
-        Py_XDECREF(backend);
+    if (type == NULL || PyModule_AddObject(module, "PropagationCore", type) < 0) {
         Py_XDECREF(type);
         Py_DECREF(module);
         return NULL;
     }
-    Py_DECREF(backend);
     return module;
 }

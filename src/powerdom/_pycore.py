@@ -30,8 +30,6 @@ def _range_error(what: str, n: int) -> ValueError:
 class PropagationCore:
     """Observation process runner bound to one graph's adjacency masks."""
 
-    backend = "pure"
-
     __slots__ = ("_adj", "_n", "_full")
 
     def __init__(self, adj_masks: Sequence[int], n: int):

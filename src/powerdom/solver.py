@@ -304,11 +304,16 @@ def _rep_search(g: Graph, budget: _Budget, l: int) -> Iterator[tuple[tuple, int]
     return _branch_search(g, budget, pool, reps, l)
 
 
+def _least_ppt_hit(g: Graph, budget: _Budget) -> tuple[int, tuple]:
+    """(ppt(g), S) for the least hit S in ppt(g) steps, by (4) above; g connected."""
+    return min((steps, s) for s, steps in _rep_search(g, budget, g.n))
+
+
 def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:
     """(gamma_P, ppt) from the search over representatives: the sum of the
     components' gamma_P and the max of their least ppt."""
-    _, parts = _per_component(g, _Budget(work_limit), lambda h, b: list(_rep_search(h, b, h.n)))
-    return sum(len(h[0][0]) for h in parts), max(min(steps for _, steps in h) for h in parts)
+    _, parts = _per_component(g, _Budget(work_limit), _least_ppt_hit)
+    return sum(len(s) for _, s in parts), max(steps for steps, _ in parts)
 
 
 def ppt_graph(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:

@@ -18,21 +18,34 @@ Minimality keeps a leaf and its neighbour, or two leaves of one
 neighbour, out of a minimum PDS, so a ppt-attaining W that repairs to R
 is R with some u swapped for a leaf of u, where u has at most two
 leaves: otherwise two or more stay unobserved, and only u, which sees
-them all, could force one. The original set, the least such W, is the
-first set in the sorted product over u in R of (u, u's leaves), or (u,)
-when u has three or more, that reaches V in ppt steps.
+them all, could force one. The original set is the least such W by
+sorted tuple. Call a set of swaps feasible when its W reaches V within
+ppt steps, that is in ppt steps, as no minimum PDS is faster. One pass
+over the swaps u -> l with l < u, in ascending order of l, keeps each
+whose u is still in the set and whose result is feasible, and finds it:
+- down-closure: N[l] lies inside N[u] and a forcing round is monotone, so
+  every subset of a feasible set of swaps is feasible;
+- only smaller leaves help: of two sets of one size, the one holding
+  their least differing vertex sorts first, so undoing a swap with l > u
+  in a feasible W gives a smaller feasible set: the least W, L, has none;
+- exchange: let x be the least vertex in just one of the greedy set G and
+  L. A repaired x is swapped out in one of them for a leaf below x that
+  the other lacks, so x is a leaf l of some u. If only L holds l, the
+  pass found u still in its set (else G holds a smaller leaf of u that L
+  lacks) and tested L's swaps below l plus u -> l, feasible by
+  down-closure, so it kept l. If only G holds l, the set kept at l agrees
+  with L below l and holds l, so it sorts before L. So G = L.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import FrozenSet
 
 from .errors import InternalConsistencyError, NotPowerDominatingError
-from .graph import Graph
+from .graph import Graph, _bits
 from .propagation import ppt_of_set, propagate
-from .solver import DEFAULT_WORK_LIMIT, _Budget, _rep_search, l_round_number
+from .solver import DEFAULT_WORK_LIMIT, _Budget, _least_ppt_hit, l_round_number
 from .trails import MonotoneTrail, extract_monotone_trail
 
 
@@ -115,47 +128,29 @@ def repair_leaf_seeds(t: Graph, s) -> FrozenSet[int]:
     return _repair(t, seed, ppt)
 
 
-def _sorted_picks(groups: list) -> Iterator[tuple]:
-    """Yield, in lexicographic order, the sorted tuples that take one vertex
-    from each of the disjoint groups, without building them all."""
-    items = sorted((v, 1 << i) for i, grp in enumerate(groups) for v in grp)
-    last = {b: j for j, (_, b) in enumerate(items)}
-    # (next index into items, groups still unpicked, the pick so far)
-    stack = [(0, (1 << len(groups)) - 1, ())]
-    while stack:
-        start, left, pick = stack.pop()
-        if not left:
-            yield pick
-            continue
-        # a vertex past an unpicked group's last one would leave that group empty
-        stop = min(j for b, j in last.items() if left & b)
-        # highest pushed first, so the lowest is taken first
-        for j in range(stop, start - 1, -1):
-            v, b = items[j]
-            if left & b:
-                stack.append((j + 1, left ^ b, (*pick, v)))
-
-
 def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> TreeCertificate:
     """Certify ppt(T) <= diam(T) - 1 with an explicit witness path.
 
     work_limit caps the search over representatives, as in solver.ppt_graph,
-    plus one unit per candidate tested for the original set.
+    plus one unit per leaf swap tested for the original set: at most two
+    per repaired vertex.
     """
     _check_tree(t)
     diam = t.diameter()
     budget = _Budget(work_limit)
-    ppt, repaired = min((steps, s) for s, steps in _rep_search(t, budget, t.n))
+    ppt, repaired = _least_ppt_hit(t, budget)
     leaves = {u: [v for v in t.neighbors(u) if t.degree(v) == 1] for u in repaired}
-    choices = [(u, *vs) if len(vs) < 3 else (u,) for u, vs in leaves.items()]
     done = (t.full_mask, ppt)
-    # the repaired set is a candidate, so the loop always breaks
-    for original in _sorted_picks(choices):
-        budget.spend()
-        if t.core.fixed_point(sum(1 << v for v in original)) == done:
-            break
-    if _repair(t, frozenset(original), ppt) != frozenset(repaired):
-        raise InternalConsistencyError(f"{list(original)} does not repair to {list(repaired)}")
+    mask = sum(1 << u for u in repaired)
+    for v, u in sorted((v, u) for u, vs in leaves.items() if len(vs) < 3 for v in vs if v < u):
+        if mask >> u & 1:
+            budget.spend()
+            trial = mask ^ (1 << u | 1 << v)
+            if t.core.fixed_point(trial) == done:
+                mask = trial
+    original = frozenset(_bits(mask))
+    if _repair(t, original, ppt) != frozenset(repaired):
+        raise InternalConsistencyError(f"{sorted(original)} does not repair to {list(repaired)}")
 
     trace = propagate(t, repaired)
     if not (trace.complete and trace.steps == ppt):
@@ -177,7 +172,7 @@ def verify_tree_diameter_bound(t: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -
         raise InternalConsistencyError(f"ppt {ppt} exceeds diam-1 = {diam - 1}")
 
     return TreeCertificate(
-        original_set=frozenset(original),
+        original_set=original,
         repaired_set=frozenset(repaired),
         ppt_original=ppt,
         ppt_repaired=ppt,

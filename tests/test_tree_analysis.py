@@ -211,13 +211,13 @@ def test_benchmark_accepts_every_reference_tree_certificate(perfbench_sparse):
 # -- search over representatives ------------------------------------------
 #
 # The certificate takes gamma_P, ppt and the repaired set from the search
-# over representatives, then the original set from the product over the
-# repaired vertices u of (u, u's leaves), drawn lazily in sorted order.
-# Two trees drawn by hand:
+# over representatives, then the original set from one greedy pass over the
+# swaps of a repaired u for a leaf below it, smallest leaf first. Two trees
+# drawn by hand:
 #
 #   FORK:   0 - 1 - 2 - 6        1 carries leaf 0 and the path 1-2-6;
-#               |                4 carries leaves 3 and 5, so it has three
-#           3 - 4 - 5            choices in the product
+#               |                4 carries leaves 3 and 5, so its one swap
+#           3 - 4 - 5            is 4 -> 3
 #
 #   TWO_SWAPS: 7 carries leaves 0 and 2, 4 carries leaves 3 and 5, and 1
 #   carries leaf 9 and the path 1-6-8; the original swaps both 7 and 4.
@@ -228,10 +228,13 @@ TWO_SWAPS = Graph(10, [(0, 7), (1, 6), (1, 7), (1, 9), (2, 7), (3, 4), (4, 5), (
 DOUBLE_STAR = Graph(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
 
 
-def caterpillar(k: int) -> Graph:
-    """The spine 0 - 1 - ... - k-1, spine vertex i with leaves k+2i and k+2i+1."""
-    edges = [(i, i + 1) for i in range(k - 1)]
-    return Graph(3 * k, edges + [(i, k + 2 * i + j) for i in range(k) for j in range(2)])
+def caterpillar(k: int, low_leaves: bool = False) -> Graph:
+    """A spine of k vertices, the i-th with two leaves: the spine 0 - ... - k-1
+    with leaves k+2i and k+2i+1, or with low_leaves the spine 2k - ... - 3k-1
+    with leaves 2i and 2i+1, below every spine vertex."""
+    spine, first = (range(2 * k, 3 * k), 0) if low_leaves else (range(k), k)
+    edges = [(spine[i], spine[i + 1]) for i in range(k - 1)]
+    return Graph(3 * k, edges + [(spine[i], first + 2 * i + j) for i in range(k) for j in range(2)])
 
 
 CATERPILLAR = caterpillar(3)
@@ -273,20 +276,21 @@ class TestRepresentativesSearch:
         # 4 gave way to the smaller of its two leaves; 5 also runs in ppt steps
         assert cert.original_set - cert.repaired_set == {3}
         assert ppt_of_set(FORK, {1, 5}) == cert.ppt_repaired
-        # (0, 3), (0, 4), (0, 5) and (1, 3), the first four candidates of
-        # (1, 0) x (4, 3, 5), cost a unit each beyond the search
-        units = _search_units(FORK) + 4
+        # the swaps 1 -> 0 (rejected) and 4 -> 3 (kept) cost a unit each
+        # beyond the search; the sorted candidate walk tested four sets
+        units = _search_units(FORK) + 2
         assert verify_tree_diameter_bound(FORK, work_limit=units) == cert
         with pytest.raises(SearchBudgetExceeded):
             verify_tree_diameter_bound(FORK, work_limit=units - 1)
 
     @pytest.mark.parametrize(
-        "t,units", [(gen_star(8), 3), (DOUBLE_STAR, 7)], ids=["star", "double_star"]
+        "t,units", [(gen_star(8), 2), (DOUBLE_STAR, 6)], ids=["star", "double_star"]
     )
     def test_vertex_with_three_leaves_is_its_only_choice(self, t, units):
-        # one candidate beyond the search, where listing every centre's
-        # leaves charged 9 (star) and 6 x 6 (double star)
-        assert units == _search_units(t) + 1
+        # no swap is tested beyond the search, where the sorted walk charged
+        # one candidate and listing every centre's leaves 9 (star) and
+        # 6 x 6 (double star)
+        assert units == _search_units(t)
         assert verify_tree_diameter_bound(t, work_limit=units) == ref_certificate(t)
         with pytest.raises(SearchBudgetExceeded):
             verify_tree_diameter_bound(t, work_limit=units - 1)
@@ -301,7 +305,7 @@ class TestRepresentativesSearch:
 class TestBudget:
     def test_needs_fewer_units_than_gamma_p(self):
         # every minimum PDS costs 167 units; representatives and the tested
-        # candidates 46
+        # swaps 46
         t = gen_random_tree(16, 5)
         cert = verify_tree_diameter_bound(t, work_limit=46)
         assert cert == ref_certificate(t)
@@ -311,9 +315,9 @@ class TestBudget:
             verify_tree_diameter_bound(t, work_limit=45)
 
     def test_only_tested_candidates_are_charged(self):
-        # 14 units of search, then the first of the 3 x 3 x 3 candidates,
-        # the spine itself, which attains ppt
-        units = _search_units(CATERPILLAR) + 1
+        # 14 units of search and none beyond: every leaf is above its spine
+        # vertex, so no swap is tested (the sorted walk tested the spine)
+        units = _search_units(CATERPILLAR)
         with pytest.raises(SearchBudgetExceeded, match=f"{units} units used"):
             verify_tree_diameter_bound(CATERPILLAR, work_limit=units - 1)
         cert = verify_tree_diameter_bound(CATERPILLAR, work_limit=units)
@@ -321,29 +325,64 @@ class TestBudget:
         assert cert.original_set == {0, 1, 2}
 
     def test_candidates_are_never_all_built(self):
-        # 3^12 candidates: building and sorting them all peaked at 78 MB
-        t = caterpillar(12)
+        # 3^12 candidates with the spine the last in sorted order: building
+        # and sorting them all peaked at 78 MB
+        t = caterpillar(12, low_leaves=True)
         tracemalloc.start()
         try:
             cert = verify_tree_diameter_bound(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cert.original_set == set(range(12))
+        assert cert.original_set == set(range(24, 36))
         assert peak < 4 * 2**20, peak
 
-    @pytest.mark.parametrize(
-        "groups", [[(7, 0, 2), (1, 9), (4, 3, 5), (6,)], [(1, 8), (0,), (2, 3, 9)], [(5,)]]
-    )
-    def test_candidates_in_sorted_order(self, groups):
-        want = sorted(tuple(sorted(c)) for c in itertools.product(*groups))
-        assert list(tree_analysis._sorted_picks(groups)) == want
+    def test_low_leaf_caterpillar_costs_two_units_per_spine_vertex(self):
+        # every swap is tested and rejected: 24 units beyond the search,
+        # where the sorted candidate walk needed 3^12 = 531,441 more
+        t = caterpillar(12, low_leaves=True)
+        units = _search_units(t) + 24
+        assert verify_tree_diameter_bound(t, work_limit=units).original_set == set(range(24, 36))
+        with pytest.raises(SearchBudgetExceeded, match=f"{units} units used"):
+            verify_tree_diameter_bound(t, work_limit=units - 1)
+
+
+# -- brute-force oracle for the original set ---------------------------------
+#
+# The least sorted set in the whole product over the repaired vertices u of
+# (u, u's leaves), or (u,) when u has three or more, that reaches V in ppt
+# steps, found by building and sorting the product.
+
+
+def least_original(t, repaired, ppt):
+    groups = []
+    for u in repaired:
+        leaves = _leaves(t, u)
+        groups.append((u, *leaves) if len(leaves) < 3 else (u,))
+    for cand in sorted(tuple(sorted(c)) for c in itertools.product(*groups)):
+        trace = propagate(t, cand)
+        if trace.complete and trace.steps == ppt:
+            return frozenset(cand)
+    raise AssertionError("no candidate, not even the repaired set, reaches V in ppt steps")
+
+
+def _oracle_trees():
+    yield from (gen_random_tree(3 + s % 38, s) for s in range(300))
+    yield from (gen_spider(legs, n) for legs in range(1, 7) for n in range(1, 6) if legs * n >= 2)
+    yield from (caterpillar(k, low) for k in range(2, 9) for low in (False, True))
+
+
+def test_original_set_matches_brute_force_oracle():
+    for t in _oracle_trees():
+        cert = verify_tree_diameter_bound(t)
+        assert cert.original_set == least_original(t, cert.repaired_set, cert.ppt_repaired)
 
 
 def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monkeypatch):
     # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units;
     # every leaf of a vertex with three or more in the product, 6,477 and
-    # 12,951; charging the whole product before the first test, 6,306 and 12,563
+    # 12,951; charging the whole product before the first test, 6,306 and
+    # 12,563; the sorted candidate walk, 6,306 and 11,321
     budgets = []
 
     class RecordingBudget(_Budget):
@@ -358,5 +397,5 @@ def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monk
             _, n, i = key.split("-")
             verify_tree_diameter_bound(workloads.pool_graph("tree", int(n), int(i)))
     assert len(budgets) == 480
-    assert len(kernel_runs) <= 6306
-    assert sum(b.used for b in budgets) <= 11321
+    assert len(kernel_runs) <= 5658
+    assert sum(b.used for b in budgets) <= 10673
