@@ -144,7 +144,8 @@ def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsRepor
     delta = g.max_degree()
     diam = g.diameter()
     refuted = _refuted_bound(g.n, diam, delta)
-    is_tree = g.n >= 3 and g.is_tree()
+    # g is connected, so it is a tree iff it has n - 1 edges
+    is_tree = g.n >= 3 and g.edge_count == g.n - 1
     return BoundsReport(
         n=g.n,
         max_degree=delta,

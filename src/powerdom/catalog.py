@@ -37,6 +37,19 @@ The least neighbourhood of an isomorphism class is the least member of
 its orbit and is met first, so each class keeps the representative it
 had when every accepted child was deduplicated by certificate.
 
+Certificates are looked up before they are searched for. Colour
+refinement gives, besides the colours the search orders by, an
+isomorphism invariant: the hash of the sorted final vertex signatures.
+When level n is built, level n-1 is complete, so each C - t is
+isomorphic to exactly one catalogued graph, which has the invariant of
+C - t. If no other catalogued graph has it, that graph is the one, and
+cert(C - t) is its least code, since equal certificates mean isomorphic
+graphs. Only a C - t whose invariant several catalogued graphs share is
+certified by its own search. Each catalogued graph is searched once, at
+its first lookup or its own expansion, and keeps its least code after
+that. Isomorphic tied children have equal invariants too, so
+certificates are computed only among tied children that share one.
+
 Sizes are capped at MAX_CATALOG_N; the known counts for n <= 8 are
 1, 2, 4, 11, 34, 156, 1044, 12346 graphs (of which 1, 1, 2, 6, 21, 112,
 853, 11117 are connected), and the test suite pins these.
@@ -54,10 +67,13 @@ from __future__ import annotations
 from .graph import Graph, _bits
 
 
-def _refined_colors(n: int, masks: list) -> list:
-    """Iterated neighbor-multiset color refinement; colors are canonical ints."""
+def _refine(n: int, masks: list) -> tuple:
+    """Iterated neighbour-multiset colour refinement: the final colours,
+    canonical ints, and an isomorphism invariant, the hash of the sorted
+    final (colour, sorted neighbour colours) signatures."""
     colors = [m.bit_count() for m in masks]
     nbrs = [_bits(m) for m in masks]
+    sigs = []
     for _ in range(n):
         sigs = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -65,7 +81,7 @@ def _refined_colors(n: int, masks: list) -> list:
         if new == colors:
             break
         colors = new
-    return colors
+    return colors, hash(tuple(sorted(sigs)))
 
 
 def _interchangeable(masks: list, a: int, b: int) -> bool:
@@ -83,7 +99,7 @@ def _search(n: int, masks: list) -> tuple:
     every ordering that reaches the least code and is not cut by a twin
     skip is returned.
     """
-    colors = _refined_colors(n, masks)
+    colors = _refine(n, masks)[0]
     target = sorted(colors)
     best: tuple | None = None
     orders: list = []
@@ -170,23 +186,19 @@ def canonical_certificate(g: Graph) -> tuple:
     return certificate(g.n, list(g.adjacency_masks))
 
 
-def _graph_from_masks(n: int, masks: list) -> Graph:
-    edges = [(u, v) for u in range(n) for v in _bits(masks[u]) if u < v]
-    return Graph(n, edges)
-
-
 def _delete_vertex(masks: list, t: int) -> list:
     """Masks of the graph with vertex t removed and the later vertices shifted down."""
     low = (1 << t) - 1
     return [(m & low) | ((m >> (t + 1)) << t) for u, m in enumerate(masks) if u != t]
 
 
-def _canonical_children(parent: Graph) -> list:
-    """Masks of the children of parent whose new vertex is the canonical one to delete.
+def _canonical_children(level: "_Level", i: int) -> list:
+    """Masks of the children of level.graphs[i] whose new vertex is the
+    canonical one to delete.
 
     One child per isomorphism class; see the module docstring.
     """
-    pm = list(parent.adjacency_masks)
+    pm = list(level.graphs[i].adjacency_masks)
     v = len(pm)
     n = v + 1
     hi = 1 << v
@@ -196,8 +208,8 @@ def _canonical_children(parent: Graph) -> list:
     at = [0] * n
     for u, d in enumerate(deg):
         at[d] |= 1 << u
-    best, orders, twins = _search(v, pm)
-    parent_cert = (v,) + best
+    best, orders, twins = level.search(i)
+    level.searched[i] = (best,)
     # one image table per generator: tab[s] is the image of the vertex set
     # s, built by adding vertex u to the table of the sets below 1 << u
     tables = []
@@ -209,7 +221,10 @@ def _canonical_children(parent: Graph) -> list:
         tables.append(tab)
     # marked[sub]: sub lies in the Aut(P)-orbit of a neighbourhood already met
     marked = bytearray(hi)
-    tie_certs = set()
+    # first[inv]: the first tied child kept with invariant inv; certs[inv]:
+    # the certificates of those kept with it, once a second one arrives
+    first = {}
+    certs = {}
     out = []
     for sub in range(hi):
         k = sub.bit_count()
@@ -247,21 +262,55 @@ def _canonical_children(parent: Graph) -> list:
             if outranked:
                 continue
             for t in rivals:
-                rival_cert = certificate(v, _delete_vertex(masks, t))
-                if rival_cert < parent_cert:
+                rival = level.least(_delete_vertex(masks, t))
+                if rival < best:
                     outranked = True
                     break
-                tie = tie or rival_cert == parent_cert
+                tie = tie or rival == best
             if outranked:
                 continue
-        # only a child whose new vertex ties with a non-twin can repeat a class
+        # only a child whose new vertex ties with a non-twin can repeat a
+        # class, and only with a tied child of the same invariant
         if tie:
-            cert = certificate(n, masks)
-            if cert in tie_certs:
-                continue
-            tie_certs.add(cert)
+            inv = _refine(n, masks)[1]
+            if inv in first:
+                if inv not in certs:
+                    certs[inv] = {certificate(n, first[inv])}
+                cert = certificate(n, masks)
+                if cert in certs[inv]:
+                    continue
+                certs[inv].add(cert)
+            else:
+                first[inv] = masks
         out.append(masks)
     return out
+
+
+class _Level:
+    """The complete catalog on v vertices, looked up by invariant. Each
+    graph's _search runs at most once; see the module docstring."""
+
+    def __init__(self, graphs: list):
+        self.graphs = graphs
+        self.v = graphs[0].n
+        # classes[inv]: the index of the one class with invariant inv, or -1
+        self.classes = {}
+        for i, g in enumerate(graphs):
+            inv = _refine(self.v, g.adjacency_masks)[1]
+            self.classes[inv] = -1 if inv in self.classes else i
+        # searched[i]: _search's result for graphs[i] from its first use,
+        # cut to the least code once graphs[i] is expanded
+        self.searched = {}
+
+    def search(self, i: int) -> tuple:
+        if i not in self.searched:
+            self.searched[i] = _search(self.v, list(self.graphs[i].adjacency_masks))
+        return self.searched[i]
+
+    def least(self, masks: list) -> tuple:
+        """The least code of the graph on v vertices with these rows."""
+        i = self.classes[_refine(self.v, masks)[1]]
+        return certificate(self.v, masks)[1:] if i < 0 else self.search(i)[0]
 
 
 # n = 9 has 274,668 classes; n = 10 has about 12 million and would run for hours
@@ -283,10 +332,11 @@ def nonisomorphic_graphs(n: int) -> list:
         if n == 1:
             _ALL[1] = [Graph(1)]
         else:
+            level = _Level(nonisomorphic_graphs(n - 1))
             _ALL[n] = [
-                _graph_from_masks(n, masks)
-                for g in nonisomorphic_graphs(n - 1)
-                for masks in _canonical_children(g)
+                Graph.from_rows(n, masks)
+                for i in range(len(level.graphs))
+                for masks in _canonical_children(level, i)
             ]
     return list(_ALL[n])
 

@@ -72,6 +72,25 @@ class Graph:
         self._masks = tuple(masks)
         self._core: PropagationCore | None = None
 
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """The graph whose vertex v has adjacency row rows[v]: bit w set iff vw is an edge."""
+        check_vertex_count(n)
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        for v, row in enumerate(rows):
+            if row >> n:
+                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            for w in _bits(row):
+                if not rows[w] >> v & 1:
+                    raise ValueError(f"row {v} has {w} but row {w} lacks {v}")
+        g = cls(0)
+        g.n, g._masks = n, rows
+        return g
+
     # -- structure -----------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset:
@@ -203,8 +222,11 @@ class Graph:
         return comps
 
     def subgraph(self, vertices: list[int]) -> "Graph":
-        """Induced subgraph; vertices[i] becomes vertex i of the result."""
+        """Induced subgraph; vertices[i] becomes vertex i of the result.
+        ValueError on a vertex out of range or listed twice."""
         index = {v: i for i, v in enumerate(vertices)}
+        if len(index) < len(vertices) or not all(0 <= v < self.n for v in index):
+            raise ValueError(f"subgraph needs distinct vertices in 0..{self.n - 1}")
         edges = [
             (index[u], index[w])
             for u in vertices

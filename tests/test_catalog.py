@@ -1,5 +1,6 @@
 """Isomorphism-free enumeration and the canonical certificate."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,8 +11,8 @@ from powerdom.catalog import (
     MAX_CATALOG_N,
     _delete_vertex,
     _generators,
-    _graph_from_masks,
     _interchangeable,
+    _refine,
     _search,
     canonical_certificate,
     certificate,
@@ -26,8 +27,17 @@ ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
+# sha256 of repr() of every graph's adjacency rows, levels 1..8 in catalog order
+CATALOG_8_SHA256 = "b58662172083dd6e86ef133a4376891f3730683aceb6aa9c6f658179b3852745"
+
+
 def permuted(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _graph_from_masks(n: int, masks: list) -> Graph:
+    """The reference generator's graph builder: rows to edges to Graph."""
+    return Graph(n, [(u, v) for u in range(n) for v in _bits(masks[u]) if u < v])
 
 
 def _oracle_canonical_children(parent: Graph) -> list:
@@ -137,6 +147,10 @@ class TestCounts:
         assert len(catalog_all_8) == sum(ALL_COUNTS.values())
         assert len(catalog_conn_8) == sum(CONNECTED_COUNTS.values())
 
+    def test_n8_catalog_is_pinned(self, catalog_all_8):
+        rows = repr([g.adjacency_masks for g in catalog_all_8])
+        assert hashlib.sha256(rows.encode()).hexdigest() == CATALOG_8_SHA256
+
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             nonisomorphic_graphs(0)
@@ -189,8 +203,9 @@ class TestOrbitGeneration:
         monkeypatch.setattr(catalog, "certificate", counted)
         monkeypatch.setattr(catalog, "_ALL", {})
         assert len(nonisomorphic_graphs(7)) == ALL_COUNTS[7]
-        # the per-parent dedupe of every accepted child made 3,199
-        assert len(calls) < 1000
+        # only rivals C - t whose invariant is shared by several graphs on
+        # 6 vertices are certified; a certificate per rival made 596
+        assert calls == [6] * 11
 
 
 class TestCertificate:
@@ -229,6 +244,50 @@ class TestCertificate:
         g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         perm = [3, 4, 5, 0, 1, 2]
         assert canonical_certificate(g) == canonical_certificate(permuted(g, perm))
+
+
+class TestInvariant:
+    # same vertex count, degrees and refined colours, different classes
+    COLLIDING = [
+        (gen_cycle(6), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        (
+            Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+            Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+        ),
+    ]
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(7)
+        for g in nonisomorphic_graphs(6) + [gen_random_connected(9, 14, seed) for seed in range(8)]:
+            want = _refine(g.n, list(g.adjacency_masks))[1]
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = permuted(g, perm)
+                assert _refine(h.n, list(h.adjacency_masks))[1] == want
+
+    @pytest.mark.parametrize("pair", COLLIDING, ids=["C6-2C3", "K33-prism"])
+    def test_colliding_pair_is_certified_and_both_kept(self, pair, monkeypatch):
+        a, b = (list(g.adjacency_masks) for g in pair)
+        assert _refine(6, a)[1] == _refine(6, b)[1]
+        level = catalog._Level(nonisomorphic_graphs(6))
+        kept = {certificate(6, list(g.adjacency_masks)) for g in level.graphs}
+        want = [certificate(6, a), certificate(6, b)]
+        assert want[0] != want[1] and set(want) <= kept
+        calls = []
+        real = catalog.certificate
+
+        def counted(n, masks):
+            calls.append(n)
+            return real(n, masks)
+
+        monkeypatch.setattr(catalog, "certificate", counted)
+        assert [(6,) + level.least(a), (6,) + level.least(b)] == want
+        assert calls == [6, 6]
+        # the path's invariant is its own: its class's code, with no certificate
+        p6 = list(gen_path(6).adjacency_masks)
+        assert (6,) + level.least(p6) == real(6, p6)
+        assert calls == [6, 6]
 
 
 class TestDeleteVertex:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import DisconnectedGraphError, GraphParseError
 from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
 from powerdom.graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph, write_graph
@@ -131,6 +132,30 @@ class TestConstruction:
         pairs = sorted({(min(e), max(e)) for e in edges})
         assert g.edges() == pairs
         assert g.edge_count == len(pairs)
+
+    def test_from_rows_equals_edge_list_on_the_catalog(self):
+        for n in range(1, 8):
+            for g in nonisomorphic_graphs(n):
+                built = Graph.from_rows(n, g.adjacency_masks)
+                assert built == Graph(n, g.edges())
+                assert built.adjacency_masks == g.adjacency_masks
+
+    @pytest.mark.parametrize(
+        "n,rows,match",
+        [
+            (MAX_VERTICES + 1, (), f"limit of {MAX_VERTICES}"),
+            (3, [0b010, 0b001], "expected 3 rows"),
+            (2, [0b110, 0b001, 0b001], "expected 2 rows"),
+            (-1, [], "expected -1 rows"),
+            (3, [0b1010, 0b0001, 0b0000], "bits outside"),
+            (3, [-2, 0b001, 0b001], "bits outside"),
+            (3, [0b011, 0b001, 0b000], "self-loop at vertex 0"),
+            (3, [0b010, 0b000, 0b000], "row 0 has 1 but row 1 lacks 0"),
+        ],
+    )
+    def test_from_rows_rejects(self, n, rows, match):
+        with pytest.raises(ValueError, match=match):
+            Graph.from_rows(n, rows)
 
 
 class TestParse:
@@ -325,6 +350,12 @@ class TestQueries:
             )
             sub = Graph(n, edges).subgraph(keep)
             assert (sub.n, sub.edges()) == (len(keep), expected), name
+
+    @pytest.mark.parametrize("vertices", [[-1, 2], [1, 4], [5], [1, 1]])
+    def test_subgraph_rejects_bad_vertices(self, vertices):
+        # negative, one past the last vertex, further past it, repeated
+        with pytest.raises(ValueError, match="distinct vertices in 0..3"):
+            gen_path(4).subgraph(vertices)
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])
