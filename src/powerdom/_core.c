@@ -2,12 +2,12 @@
 
    Same contract as _pycore.PropagationCore, and the same rounds: S[1] is
    N[S], and each later forcing round scans only the observed vertices in
-   N[new], where new is what the round before added (the _pycore docstring
-   gives the argument). Vertex sets cross the boundary as Python ints, through
-   int.to_bytes / int.from_bytes in little-endian order; a set that fits in
-   one 64-bit word goes through PyLong_AsUnsignedLongLong instead, which skips
-   the bytes object and about halves the call time when n <= 64. Only the
-   public CPython API is used. */
+   N[new], where new is what the round before added, and a run stops as soon
+   as V is observed (the _pycore docstring gives both arguments). Vertex sets
+   cross the boundary as Python ints, through int.to_bytes / int.from_bytes
+   in little-endian order; a set that fits in one 64-bit word goes through
+   PyLong_AsUnsignedLongLong instead, which skips the bytes object and about
+   halves the call time when n <= 64. Only the public CPython API is used. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -108,6 +108,16 @@ static void closed_nbhd(const Core *self, const uint64_t *m, uint64_t *out)
         }
 }
 
+/* 1 iff m holds all n vertices. */
+static int is_full(const Core *self, const uint64_t *m)
+{
+    const Py_ssize_t W = self->W, r = self->n % 64;
+    for (Py_ssize_t t = 0; t < W - 1; t++)
+        if (~m[t])
+            return 0;
+    return m[W - 1] == (r ? ((uint64_t)1 << r) - 1 : ~(uint64_t)0);
+}
+
 /* Run the rounds from cur (already loaded). Append each new layer to layers
    when it is not NULL. Return the number of rounds that changed the set, or
    -1 with an exception set. */
@@ -131,6 +141,9 @@ static Py_ssize_t run(Core *self, PyObject *layers)
             }
             Py_DECREF(layer);
         }
+        /* with V observed nothing is left to force: S[steps + 1] = S[steps] */
+        if (is_full(self, cur))
+            break;
         /* one forcing round: each active vertex with exactly one unobserved
            neighbour observes it */
         for (Py_ssize_t w = 0; w < W; w++)

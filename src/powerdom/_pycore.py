@@ -14,8 +14,15 @@ fixed_point and layer_masks share one round loop, _run. A round is
 simultaneous: it reads the set observed before it and writes a new one,
 so the order in which it scans vertices changes nothing, and _run takes
 bits highest first. Every mask in the loop stays non-negative (a bit is
-cleared with XOR, and the unobserved set is full ^ cur, not ~cur), so no
-multiword int is ever negated on the way.
+cleared with XOR, and the unobserved set starts as full ^ S[1], not
+~S[1]), so no multiword int is ever negated on the way.
+
+The run stops as soon as V is observed. Once S[l] = V no vertex is left
+to force, so S[l+1] = S[l] and l is the answer without another round.
+The unobserved set is kept across rounds (each round's new vertices are
+cleared from it with XOR) rather than rebuilt, so the stop costs one zero
+test per round and no multiword compare; the N[new] walk that would feed
+the next round is skipped with it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ class PropagationCore:
         with S[l+1] == S[l]). When layers is a list, append S[1], S[2], ...
         to it while each differs from the one before."""
         adj = self._adj
-        full = self._full
         # S[1] = N[S]
         cur = m = start
         while m:
@@ -60,9 +66,12 @@ class PropagationCore:
         if layers is not None:
             layers.append(cur)
         steps = 1
+        # kept across rounds, so reaching V costs one zero test per round
+        unobserved = self._full ^ cur
+        if not unobserved:
+            return cur, steps
         active = cur
         while True:
-            unobserved = full ^ cur
             nxt = cur
             m = active
             while m:
@@ -76,8 +85,11 @@ class PropagationCore:
             if layers is not None:
                 layers.append(nxt)
             steps += 1
-            # the observed vertices of N[new]
             m = new = nxt ^ cur
+            unobserved ^= new
+            if not unobserved:
+                return nxt, steps
+            # the observed vertices of N[new]
             while m:
                 i = m.bit_length() - 1
                 m ^= 1 << i

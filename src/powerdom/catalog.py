@@ -148,6 +148,9 @@ def _search(n: int, masks: list) -> tuple:
             remaining.add(v)
 
     rec([], [], set(range(n)))
+    # rec reaches itself through its closure cell; emptying the cell frees
+    # the search state now rather than at the next cyclic collection
+    del rec
     return best, orders, twins
 
 

@@ -7,7 +7,9 @@ read the rows through adjacency_masks and pass vertex sets around as
 masks; _bits lists the vertices of a mask. Degrees are bit counts,
 edges() reads the bits above each row's own vertex, and components grow
 a mask frontier, so no query keeps a per-vertex set. The rows are
-immutable after construction and every query here is pure.
+immutable after construction and every query here is pure; the
+propagation engine, connectivity and the representatives mask are
+computed at first use and kept, as one object, one bool and one int.
 
 File format: first non-comment line is "n m", followed by exactly m
 non-comment lines "u v" (0 <= u,v < n, u != v). Lines starting with '#'
@@ -54,7 +56,7 @@ def _bits(mask: int) -> list[int]:
 class Graph:
     """A simple undirected graph over vertices 0..n-1."""
 
-    __slots__ = ("n", "_masks", "_core")
+    __slots__ = ("n", "_masks", "_core", "_connected", "_reps")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -71,6 +73,8 @@ class Graph:
             masks[v] |= 1 << u
         self._masks = tuple(masks)
         self._core: PropagationCore | None = None
+        self._connected: bool | None = None
+        self._reps: int | None = None
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
@@ -146,6 +150,29 @@ class Graph:
             self._core = PropagationCore(self._masks, self.n)
         return self._core
 
+    @property
+    def representatives(self) -> int:
+        """Mask of the vertices x with no neighbour y such that N[x] is
+        strictly inside N[y], or N[x] = N[y] and y < x. Only neighbours need
+        checking: N[x] inside N[y] puts x in N[y], so y is in N[x]."""
+        if self._reps is None:
+            adj = self._masks
+            closed = [mask | 1 << v for v, mask in enumerate(adj)]
+            reps = 0
+            for x, cx in enumerate(closed):
+                nbrs = adj[x]
+                while nbrs:
+                    b = nbrs & -nbrs
+                    y = b.bit_length() - 1
+                    cy = closed[y]
+                    if cx & cy == cx and (cy != cx or y < x):
+                        break
+                    nbrs ^= b
+                else:
+                    reps |= 1 << x
+            self._reps = reps
+        return self._reps
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
@@ -175,9 +202,11 @@ class Graph:
         return comp
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            raise ValueError("connectivity of the empty graph is undefined")
-        return self._component(0) == self.full_mask
+        if self._connected is None:
+            if self.n == 0:
+                raise ValueError("connectivity of the empty graph is undefined")
+            self._connected = self._component(0) == self.full_mask
+        return self._connected
 
     def diameter(self) -> int:
         """Maximum shortest-path distance: the least radius at which every
@@ -192,11 +221,17 @@ class Graph:
 
     def _grow_balls(self) -> Iterator[list[int]]:
         """Masks of the radius-r balls around every vertex, for r = 0, 1, ...
-        until they stop growing."""
-        neighbors = [_bits(row) for row in self._masks]
+        until they stop growing. The radius-1 balls are the closed rows, so
+        the neighbour lists are built only for a caller that reads on."""
         balls = [1 << v for v in range(self.n)]
+        yield balls
+        grown = [row | ball for row, ball in zip(self._masks, balls)]
+        if grown == balls:
+            return
+        balls = grown
+        yield balls
+        neighbors = [_bits(row) for row in self._masks]
         while True:
-            yield balls
             grown = []
             for v, ball in enumerate(balls):
                 for w in neighbors[v]:
@@ -205,6 +240,7 @@ class Graph:
             if grown == balls:
                 return
             balls = grown
+            yield balls
 
     def is_tree(self) -> bool:
         if self.n == 0:

@@ -8,7 +8,7 @@ ever has exactly one unobserved neighbour in it, so it is never entered;
 if propagation from S stops at an observed set C other than V, then
 V - C is a fort that N[S] misses.
 
-The search deepens k = 1, 2, ... and keeps a pool of the sets N[F] found
+The search deepens k = 1, 2, ... and keeps a pool of the sets N[F] known
 so far, which stay valid for every k. A node is a pair (S, excluded)
 with |S| <= k, charged one unit of work. If S misses a pooled N[F], the
 node branches on the one with the fewest vertices outside excluded,
@@ -36,6 +36,23 @@ The search yields its hits at the least k; a caller that needs only the
 number takes the first: every k' < k was exhausted before it, so k is
 exact without the witness list.
 
+Some forts are known before any run. Call u and v twins when N(u) = N(v)
+(open twins, never adjacent) or N[u] = N[v] (closed twins, adjacent).
+Then F = {u, v} is a fort: in both cases N(u) - v = N(v) - u, so a vertex
+outside F is adjacent to both or to neither. (Conversely a fort of two
+vertices is a twin pair.) N[F] is N(u) + u + v for open twins and N[u]
+for closed ones. The pool starts with N[F] for every twin pair, exactly as
+if a run had found it. Two leaves u, v of one vertex w give N[F] =
+{u, v, w}; cut to the representatives below, that is {w}, so w is forced.
+
+At the start of each k, a greedy pass takes pairwise disjoint pooled sets,
+smallest first. Every set the search looks for meets each of them, and
+disjoint sets need distinct vertices, so if more than k are taken no set
+of k vertices succeeds: the level is skipped without a node, and k is
+exhausted all the same. The pass runs only when the pool holds more than
+k sets (fewer cannot give more than k disjoint ones) and has grown since
+the last pass (the same pool gives the same count).
+
 Disconnected graphs are solved per component (propagation never crosses
 components): gamma_P sums, witnesses combine, and the propagation time of
 a combined witness is the max over its parts. The parts are chosen
@@ -59,11 +76,13 @@ representatives with at most |T| vertices and no more steps. So the least
 k over the representatives is the least over V, and the first hit has
 it. Pooled sets are cut down to the representatives; T meets the cut set
 wherever it meets the whole, so the argument above holds for T with S and
-excluded inside the representatives. (2) The pool starts with the ball
-B_l(u) of radius l around every vertex u: layer l of T is V and lies
-inside the radius-l ball around T, so T meets B_l(u). For l = 1 these are
-the sets N[u], and the search is exact dominating-set branching; for
-l >= n every ball is V. A failed run still pools N[V - final], since T is a PDS. (3) A
+excluded inside the representatives. (2) The pool starts with the twin
+sets and the ball B_l(u) of radius l around every vertex u: layer l of T
+is V and lies inside the radius-l ball around T, so T meets B_l(u). For
+l = 1 these are the sets N[u], and the search is exact dominating-set
+branching; a twin set N[{u, v}] contains N[u] there, so it would prune
+nothing and is left out. For l >= n every ball is V. A failed run still
+pools N[V - final], and the twin sets hold, since T is a PDS. (3) A
 run that reaches V in more than l steps leaves no fort. T then has a
 vertex outside S, for S is not successful, so the node branches on the
 representatives outside S and excluded, which T meets; T is still reached
@@ -158,17 +177,31 @@ def _branch_search(
         pool.append(nf)
         return nf
 
+    # floor: how many pairwise disjoint sets a greedy pass took from the
+    # pool, smallest first, when it held packed sets; no k below it succeeds
+    floor = packed = 0
     for k in range(1, allowed.bit_count() + 1):
         budget.k = k
+        if len(pool) > k and len(pool) != packed:
+            packed = len(pool)
+            taken = floor = 0
+            for nf in sorted(pool, key=int.bit_count):
+                if not nf & taken:
+                    taken |= nf
+                    floor += 1
+        if floor > k:
+            continue
         found = False
         # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
         # it saw); the nodes with one vertex left run their children inline
-        stack = [(0, 0, k, (), 0)]
+        stack = [(0, 0, k, [], 0)]
         while stack:
             s, excluded, room, missed, seen = stack.pop()
             budget.spend()
-            missed = [nf for nf in (*missed, *pool[seen:]) if not nf & s]
-            seen = len(pool)
+            missed = [nf for nf in missed if not nf & s]
+            if len(pool) > seen:
+                missed += [nf for nf in pool[seen:] if not nf & s]
+                seen = len(pool)
             if not missed:
                 final, steps = core.fixed_point(s)
                 if final != full:
@@ -181,9 +214,10 @@ def _branch_search(
                 else:
                     # too slow, and no fort: a hit adds an allowed vertex outside S
                     missed = [allowed & ~s]
+            keep = ~excluded
             if room == 1:
                 # the last vertex must hit every missed set at once
-                branch = ~excluded
+                branch = keep
                 for nf in missed:
                     branch &= nf
                 while branch:
@@ -203,7 +237,14 @@ def _branch_search(
                             found = True
                             yield tuple(_bits(leaf)), steps
                 continue
-            branch = min((nf & ~excluded for nf in missed), key=int.bit_count)
+            # the first of the smallest, as min() would pick it
+            branch = missed[0] & keep
+            size = branch.bit_count()
+            for nf in missed:
+                nf &= keep
+                if nf.bit_count() < size:
+                    branch = nf
+                    size = branch.bit_count()
             # highest bit pushed first, so the lowest is searched first; each
             # child excludes the branch bits below its own
             while branch:
@@ -215,9 +256,38 @@ def _branch_search(
     raise AssertionError("allowed always succeeds as a whole; unreachable")
 
 
+def _twin_forts(g: Graph) -> list[int]:
+    """N[{u, v}] for every pair of twins u < v of a connected g: N(u) + u + v
+    for open twins and N[u] for closed ones, as in the module docstring.
+    One dict holds both kinds of row: an open row N(w) never equals a
+    closed row N[u], which would put u in N(w), so w in N[u] = N(w), a
+    loop. Below four vertices every such set is V, which the callers pool
+    already."""
+    forts = []
+    if g.n < 4:
+        return forts
+    rows: dict[int, int] = {}
+    for v, row in enumerate(g.adjacency_masks):
+        bit = 1 << v
+        # the earlier open twins of v
+        twins = rows.get(row, 0)
+        rows[row] = twins | bit
+        while twins:
+            b = twins & -twins
+            twins ^= b
+            forts.append(row | b | bit)
+        row |= bit
+        if row in rows:
+            forts.append(row)
+        else:
+            rows[row] = 0
+    return forts
+
+
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
     # V is a fort with N[V] = V, and no run takes more than n steps
-    hits = sorted(_branch_search(g, budget, [g.full_mask], g.full_mask, g.n))
+    pool = list(dict.fromkeys([*_twin_forts(g), g.full_mask]))
+    hits = sorted(_branch_search(g, budget, pool, g.full_mask, g.n))
     return GammaResult(
         gamma_p=len(hits[0][0]),
         witnesses=tuple(PdsSolution(*hit) for hit in hits),
@@ -271,36 +341,18 @@ def gamma_p(
     )
 
 
-def _representatives(g: Graph) -> int:
-    """Mask of the vertices x with no neighbour y such that N[x] is strictly
-    inside N[y], or N[x] = N[y] and y < x. Only neighbours need checking:
-    N[x] inside N[y] puts x in N[y], so y is in N[x]."""
-    adj = g.adjacency_masks
-    closed = [mask | 1 << v for v, mask in enumerate(adj)]
-    reps = 0
-    for x, cx in enumerate(closed):
-        nbrs = adj[x]
-        while nbrs:
-            b = nbrs & -nbrs
-            y = b.bit_length() - 1
-            cy = closed[y]
-            if cx & cy == cx and (cy != cx or y < x):
-                break
-            nbrs ^= b
-        else:
-            reps |= 1 << x
-    return reps
-
-
 def _rep_search(g: Graph, budget: _Budget, l: int) -> Iterator[tuple[tuple, int]]:
     """_branch_search over a connected g's representatives, pool as in (2)
     of the module docstring; l >= n grows no balls, for each would be V."""
-    reps = _representatives(g)
-    pool = [reps]
+    reps = g.representatives
+    pool = _twin_forts(g) if l > 1 else []
     if l < g.n:
         for balls in islice(g._grow_balls(), l + 1):
             pass
-        pool = list(dict.fromkeys(ball & reps for ball in balls))
+        pool += balls
+    else:
+        pool.append(reps)
+    pool = list(dict.fromkeys([nf & reps for nf in pool]))
     return _branch_search(g, budget, pool, reps, l)
 
 

@@ -9,6 +9,9 @@ generator against every labelled graph, sharing only the certificate.
 The seventh also holds the search over representatives that answers
 `ppt` and `bounds` to the oracles; the last sets it against the
 all-subsets least ppt on every graph with n <= 7, disconnected included.
+An unnumbered differential test sets every search answer (gamma_P, the
+full witness list, ppt and the l-round numbers) against the same oracles,
+for the search's pruning by twin forts and by the packing floor.
 """
 
 import itertools
@@ -21,7 +24,7 @@ import pytest
 from powerdom.bounds import bounds_report, tree_lower_bound
 from powerdom.catalog import canonical_certificate, certificate, nonisomorphic_graphs
 from powerdom.cli import counterexample_demo
-from powerdom.families import gen_h_delta, gen_path
+from powerdom.families import gen_h_delta, gen_path, gen_random_connected, gen_random_tree
 from powerdom.propagation import ppt_of_set, propagate
 from powerdom.solver import (
     DEFAULT_WORK_LIMIT,
@@ -86,6 +89,30 @@ def oracle_gamma_ppt(g):
         if rounds:
             return k, min(rounds)
     raise AssertionError("V itself always power dominates")
+
+
+def oracle_minimum_sets(g):
+    """The minimum power dominating sets with their round counts, in
+    lexicographic order, and {l: the least size of a set that observes V
+    within l rounds} for l = 1, 2 and n."""
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    witnesses = None
+    least = {}
+    for k in range(1, g.n + 1):
+        found = []
+        for s in itertools.combinations(range(g.n), k):
+            obs, rounds = oracle_closure(adj, s)
+            if len(obs) == g.n:
+                found.append((s, rounds))
+                for l in (1, 2, g.n):
+                    if rounds <= l:
+                        least.setdefault(l, k)
+        if found and witnesses is None:
+            witnesses = found
+        # a set that observes V in one round does so in any number
+        if 1 in least:
+            return witnesses, least
+    raise AssertionError("V itself observes V in at most one round")
 
 
 def oracle_domination(g):
@@ -297,3 +324,26 @@ def test_representatives_search_sweep(catalog_all_8, capsys):
             want = oracle_gamma_ppt(g)
             assert _gamma_ppt(g, DEFAULT_WORK_LIMIT) == want, g.edges()
             assert ppt_graph(g) == want[1], g.edges()
+
+
+def test_pruned_search_vs_oracles(catalog_conn_8):
+    """gamma_p's witness list and ppt, the search over representatives and
+    the l-round numbers for l = 1, 2 and n, against the all-subsets
+    oracles: every connected graph with n <= 7, and seeded random trees and
+    sparse graphs with 5 <= n <= 12."""
+    corpus = [g for g in catalog_conn_8 if g.n <= 7]
+    for seed in range(32):
+        n = 5 + seed % 8
+        corpus.append(gen_random_tree(n, 7000 + seed))
+        corpus.append(gen_random_connected(n, (5 * n + 2) // 4, 8000 + seed))
+    for g in corpus:
+        witnesses, least = oracle_minimum_sets(g)
+        res = gamma_p(g)
+        assert [(w.vertices, w.ppt) for w in res.witnesses] == witnesses, g.edges()
+        want = (len(witnesses[0][0]), min(r for _, r in witnesses))
+        assert (res.gamma_p, res.ppt_graph) == want, g.edges()
+        short = gamma_p(g, witnesses=False)
+        assert (short.gamma_p, short.ppt_graph, short.witnesses) == (*want, ()), g.edges()
+        assert ppt_graph(g) == want[1], g.edges()
+        for l in (1, 2, g.n):
+            assert l_round_number(g, l) == least[l], (l, g.edges())

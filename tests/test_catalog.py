@@ -1,5 +1,6 @@
 """Isomorphism-free enumeration and the canonical certificate."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -244,6 +245,21 @@ class TestCertificate:
         g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         perm = [3, 4, 5, 0, 1, 2]
         assert canonical_certificate(g) == canonical_certificate(permuted(g, perm))
+
+
+    def test_search_leaves_no_garbage_cycle(self):
+        # the recursive closure reached itself through its cell, so every
+        # search left 32 objects on C_8 for the cyclic collector
+        masks = list(gen_cycle(8).adjacency_masks)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _search(8, masks)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestInvariant:

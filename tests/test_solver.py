@@ -30,7 +30,7 @@ from powerdom.solver import (
     _Budget,
     _gamma_ppt,
     _rep_search,
-    _representatives,
+    _twin_forts,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -400,6 +400,63 @@ class TestRepresentativesSearch:
             _gamma_ppt(gen_complete(6), 1)
 
 
+def two_vertex_forts(g: Graph):
+    """Every pair F = {u, v} that is a fort by the definition: no vertex
+    outside F has exactly one neighbour in F."""
+    for u, v in combinations(range(g.n), 2):
+        if all(len(g.neighbors(x) & {u, v}) != 1 for x in range(g.n) if x not in (u, v)):
+            yield u, v
+
+
+def closed_neighbourhood(g: Graph, vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+        for w in g.neighbors(v):
+            mask |= 1 << w
+    return mask
+
+
+class TestTwinForts:
+    """The sets pooled before any run: N[F] for the forts F = {u, v}."""
+
+    def test_twin_sets_are_the_two_vertex_forts(self, catalog_conn_8):
+        corpus = [g for g in catalog_conn_8 if g.n <= 7]
+        corpus += [gen_random_tree(n, 9000 + n) for n in range(4, 20)]
+        corpus += [gen_star(6), gen_spider(3, 2), gen_complete(5), gen_cycle(4)]
+        for g in corpus:
+            want = {closed_neighbourhood(g, f) for f in two_vertex_forts(g)}
+            if g.n < 4:
+                # below four vertices every such set is V, so none is pooled
+                assert want <= {g.full_mask} and _twin_forts(g) == [], g.edges()
+                continue
+            assert set(_twin_forts(g)) == want, g.edges()
+
+    def test_every_power_dominating_set_meets_every_twin_set(self, catalog_conn_8):
+        for g in (g for g in catalog_conn_8 if g.n <= 6):
+            twins = _twin_forts(g)
+            for k in range(1, g.n + 1):
+                for s in combinations(range(g.n), k):
+                    if is_pds(g, s):
+                        mask = sum(1 << v for v in s)
+                        assert all(nf & mask for nf in twins), (s, g.edges())
+
+    def test_two_leaves_force_their_neighbour(self):
+        # the leaves 4, 5 of 2 pool N[{4, 5}] = {2, 4, 5}, cut to {2} over
+        # the representatives {1, 2}: the root and the leaf {2} are the
+        # whole search, where the representative 1 was tried first before
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+        assert g.representatives == 0b110
+        assert 0b110100 in _twin_forts(g)
+        assert _gamma_ppt(g, 2) == (1, 2)
+        with pytest.raises(SearchBudgetExceeded):
+            _gamma_ppt(g, 1)
+
+    def test_representatives_match_the_definition(self, catalog_conn_8):
+        for g in catalog_conn_8:
+            assert g.representatives == sum(1 << v for v in exhaustive_representatives(g))
+
+
 class TestOneSearch:
     """Every caller that needs only gamma_P, ppt or the l-round number
     searches the representatives; gamma_p's witness list alone searches V."""
@@ -423,7 +480,7 @@ class TestOneSearch:
             call(g)
             assert searched, g.edges()
             for h, allowed in searched:
-                assert allowed == _representatives(h), h.edges()
+                assert allowed == h.representatives, h.edges()
             searched.clear()
         gamma_p(g)
         assert searched == [(g, g.full_mask)], g.edges()
@@ -435,7 +492,7 @@ class TestOneSearch:
         # one search per row, the rows above EXACT_DEMO_DELTA included
         counterexample_demo(3, 16)
         assert len(searched) == 14
-        assert all(allowed == _representatives(g) for g, allowed in searched)
+        assert all(allowed == g.representatives for g, allowed in searched)
         searched.clear()
         for delta in range(3, 10):
             self.assert_only_representatives(gen_h_delta(delta)[0], searched, self.CALLS)
@@ -551,15 +608,17 @@ class TestBudget:
         assert gamma_p(g, work_limit=10**6).gamma_p == 2
 
     def test_l_round_limit_names_units_and_k(self):
-        # C_12 at l = 1 spends 15 units up to k = 3 and 30 by k = 4
+        # C_12 at l = 1: four disjoint sets N[u] skip k = 1..3 without a
+        # node, and k = 4 costs 15 units (15 up to k = 3 and 30 by k = 4
+        # before the packing floor)
         g = gen_cycle(12)
         with pytest.raises(SearchBudgetExceeded) as info:
-            l_round_number(g, 1, work_limit=20)
+            l_round_number(g, 1, work_limit=14)
         message = str(info.value)
-        assert "work limit of 20 exceeded" in message
-        assert "21 units used" in message
+        assert "work limit of 14 exceeded" in message
+        assert "15 units used" in message
         assert "k = 4" in message
-        assert l_round_number(g, 1, work_limit=30) == 4
+        assert l_round_number(g, 1, work_limit=15) == 4
 
     def test_solution_unaffected_by_generous_budget(self):
         g = gen_cycle(6)

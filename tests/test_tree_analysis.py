@@ -284,12 +284,13 @@ class TestRepresentativesSearch:
             verify_tree_diameter_bound(FORK, work_limit=units - 1)
 
     @pytest.mark.parametrize(
-        "t,units", [(gen_star(8), 2), (DOUBLE_STAR, 6)], ids=["star", "double_star"]
+        "t,units", [(gen_star(8), 2), (DOUBLE_STAR, 3)], ids=["star", "double_star"]
     )
     def test_vertex_with_three_leaves_is_its_only_choice(self, t, units):
         # no swap is tested beyond the search, where the sorted walk charged
         # one candidate and listing every centre's leaves 9 (star) and
-        # 6 x 6 (double star)
+        # 6 x 6 (double star); twin leaves force both centres of the double
+        # star, whose search took 6 units before they were pooled
         assert units == _search_units(t)
         assert verify_tree_diameter_bound(t, work_limit=units) == ref_certificate(t)
         with pytest.raises(SearchBudgetExceeded):
@@ -304,15 +305,16 @@ class TestRepresentativesSearch:
 
 class TestBudget:
     def test_needs_fewer_units_than_gamma_p(self):
-        # every minimum PDS costs 167 units; representatives and the tested
-        # swaps 46
+        # every minimum PDS costs 132 units; representatives and the tested
+        # swaps 29 (167 and 46 before twin forts and the packing floor)
         t = gen_random_tree(16, 5)
-        cert = verify_tree_diameter_bound(t, work_limit=46)
+        cert = verify_tree_diameter_bound(t, work_limit=29)
         assert cert == ref_certificate(t)
-        with pytest.raises(SearchBudgetExceeded):
-            gamma_p(t, work_limit=46)
-        with pytest.raises(SearchBudgetExceeded, match="46 units used"):
-            verify_tree_diameter_bound(t, work_limit=45)
+        assert gamma_p(t, work_limit=132) == gamma_p(t)
+        with pytest.raises(SearchBudgetExceeded, match="132 units used"):
+            gamma_p(t, work_limit=131)
+        with pytest.raises(SearchBudgetExceeded, match="29 units used"):
+            verify_tree_diameter_bound(t, work_limit=28)
 
     def test_only_tested_candidates_are_charged(self):
         # 14 units of search and none beyond: every leaf is above its spine
@@ -336,6 +338,14 @@ class TestBudget:
             tracemalloc.stop()
         assert cert.original_set == set(range(24, 36))
         assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("low_leaves", [False, True], ids=["high", "low"])
+    def test_two_leaf_caterpillar_search_is_linear(self, low_leaves):
+        # twin leaves pool {u} for each of the 12 spine vertices u; these
+        # 12 disjoint sets skip k < 12 without a node, and k = 12 is the
+        # root, 11 inner nodes and one leaf, where 2^13 - 2 = 8,190 units
+        # went before
+        assert _search_units(caterpillar(12, low_leaves)) == 13
 
     def test_low_leaf_caterpillar_costs_two_units_per_spine_vertex(self):
         # every swap is tested and rejected: 24 units beyond the search,
@@ -382,7 +392,9 @@ def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monk
     # listing every minimum PDS took 11,961 fixed_point runs and 23,450 units;
     # every leaf of a vertex with three or more in the product, 6,477 and
     # 12,951; charging the whole product before the first test, 6,306 and
-    # 12,563; the sorted candidate walk, 6,306 and 11,321
+    # 12,563; the sorted candidate walk, 6,306 and 11,321; the greedy swap
+    # pass, 5,658 and 10,673; pooling twin forts with the packing floor,
+    # 4,047 and 7,073
     budgets = []
 
     class RecordingBudget(_Budget):
@@ -397,5 +409,5 @@ def test_kernel_runs_and_units_on_pool_trees(perfbench_sparse, kernel_runs, monk
             _, n, i = key.split("-")
             verify_tree_diameter_bound(workloads.pool_graph("tree", int(n), int(i)))
     assert len(budgets) == 480
-    assert len(kernel_runs) <= 5658
-    assert sum(b.used for b in budgets) <= 10673
+    assert len(kernel_runs) <= 4047
+    assert sum(b.used for b in budgets) <= 7073
