@@ -66,7 +66,6 @@ class PropagationCore:
         if layers is not None:
             layers.append(cur)
         steps = 1
-        # kept across rounds, so reaching V costs one zero test per round
         unobserved = self._full ^ cur
         if not unobserved:
             return cur, steps

@@ -527,6 +527,15 @@ class TestLRound:
             values = [l_round_number(g, l) for l in range(1, 6)]
             assert values == sorted(values, reverse=True)
 
+    def test_packing_floor_skips_refuted_levels(self):
+        # H_9 at l = 1: nine pairwise disjoint sets N[u] skip k = 1..8
+        # without a node, and k = 9 costs 10 units; the search ran for
+        # minutes before the floor
+        g, _ = gen_h_delta(9)
+        assert l_round_number(g, 1, work_limit=10) == 9
+        with pytest.raises(SearchBudgetExceeded, match="10 units used with the search at k = 9"):
+            l_round_number(g, 1, work_limit=9)
+
     def test_l_beyond_the_islice_range(self):
         # balls stop growing by radius n - 1, so l = 10**20 needs no more of them
         assert l_round_number(gen_path(5), 10**20) == l_round_number(gen_path(5), 5)
