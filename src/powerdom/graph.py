@@ -221,17 +221,11 @@ class Graph:
 
     def _grow_balls(self) -> Iterator[list[int]]:
         """Masks of the radius-r balls around every vertex, for r = 0, 1, ...
-        until they stop growing. The radius-1 balls are the closed rows, so
-        the neighbour lists are built only for a caller that reads on."""
-        balls = [1 << v for v in range(self.n)]
-        yield balls
-        grown = [row | ball for row, ball in zip(self._masks, balls)]
-        if grown == balls:
-            return
-        balls = grown
-        yield balls
+        until they stop growing."""
         neighbors = [_bits(row) for row in self._masks]
+        balls = [1 << v for v in range(self.n)]
         while True:
+            yield balls
             grown = []
             for v, ball in enumerate(balls):
                 for w in neighbors[v]:
@@ -240,7 +234,6 @@ class Graph:
             if grown == balls:
                 return
             balls = grown
-            yield balls
 
     def is_tree(self) -> bool:
         if self.n == 0:

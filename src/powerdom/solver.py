@@ -36,14 +36,21 @@ The search yields its hits at the least k; a caller that needs only the
 number takes the first: every k' < k was exhausted before it, so k is
 exact without the witness list.
 
-Some forts are known before any run. Call u and v twins when N(u) = N(v)
-(open twins, never adjacent) or N[u] = N[v] (closed twins, adjacent).
-Then F = {u, v} is a fort: in both cases N(u) - v = N(v) - u, so a vertex
-outside F is adjacent to both or to neither. (Conversely a fort of two
-vertices is a twin pair.) N[F] is N(u) + u + v for open twins and N[u]
-for closed ones. The pool starts with N[F] for every twin pair, exactly as
-if a run had found it. Two leaves u, v of one vertex w give N[F] =
-{u, v, w}; cut to the representatives below, that is {w}, so w is forced.
+Some forts are known before any run. Call u and v open twins when
+N(u) = N(v); they are never adjacent. Then F = {u, v} is a fort, for a
+vertex outside F is adjacent to both or to neither, and N[F] = N(u) + u +
+v. Having the same row is an equivalence, and on graphs of at least
+_TWIN_MIN_N vertices the pool starts with N[F] for the two least vertices
+of each class with two or more, exactly as if a run had found it. One
+pair per class is enough for the floor below: the sets of one class all
+contain N(u), which a connected graph keeps nonempty, so no two are
+disjoint. It also bounds the sets pooled before the first unit at n/2,
+where every pair would give quadratically many (a star with k leaves has
+k(k-1)/2). Two leaves u, v of one vertex w give N[F] = {u, v, w}; cut to
+the representatives below, that is {w}, so w is forced. Closed twins,
+N[u] = N[v], are forts as well, but finding them takes a second pass over
+the closed rows, and on seeded random trees and sparse graphs they saved
+about 1% of the units.
 
 At the start of each k, a greedy pass takes pairwise disjoint pooled sets,
 smallest first. Every set the search looks for meets each of them, and
@@ -256,37 +263,37 @@ def _branch_search(
     raise AssertionError("allowed always succeeds as a whole; unreachable")
 
 
+# Below this many vertices the twin pass costs more than it saves: over
+# gamma_p, l = 2 and bounds on 80 seeded random trees and sparse graphs
+# per size, it added 2-9% at five to eight vertices and saved 1.5-2.5% at
+# nine and ten.
+_TWIN_MIN_N = 9
+
+
 def _twin_forts(g: Graph) -> list[int]:
-    """N[{u, v}] for every pair of twins u < v of a connected g: N(u) + u + v
-    for open twins and N[u] for closed ones, as in the module docstring.
-    One dict holds both kinds of row: an open row N(w) never equals a
-    closed row N[u], which would put u in N(w), so w in N[u] = N(w), a
-    loop. Below four vertices every such set is V, which the callers pool
-    already."""
+    """N[{u, v}] = N(u) + u + v for the two least vertices u < v of every
+    class of open twins of g, as in the module docstring; none below
+    _TWIN_MIN_N vertices. Equal rows are found by a stable sort, which
+    leaves each class in vertex order. Hashing the rows would not do: an
+    int hashes modulo 2^61 - 1, so 2^v repeats every 61 vertices and the
+    rows of a long path share a few dozen hashes."""
     forts = []
-    if g.n < 4:
+    if g.n < _TWIN_MIN_N:
         return forts
-    rows: dict[int, int] = {}
-    for v, row in enumerate(g.adjacency_masks):
-        bit = 1 << v
-        # the earlier open twins of v
-        twins = rows.get(row, 0)
-        rows[row] = twins | bit
-        while twins:
-            b = twins & -twins
-            twins ^= b
-            forts.append(row | b | bit)
-        row |= bit
-        if row in rows:
-            forts.append(row)
-        else:
-            rows[row] = 0
+    rows = g.adjacency_masks
+    last = None
+    order = sorted(range(g.n), key=rows.__getitem__)
+    for u, v in zip(order, order[1:]):
+        if rows[u] == rows[v] != last:
+            last = rows[u]
+            forts.append(last | 1 << u | 1 << v)
     return forts
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
     # V is a fort with N[V] = V, and no run takes more than n steps
-    pool = list(dict.fromkeys([*_twin_forts(g), g.full_mask]))
+    pool = _twin_forts(g)
+    pool.append(g.full_mask)
     hits = sorted(_branch_search(g, budget, pool, g.full_mask, g.n))
     return GammaResult(
         gamma_p=len(hits[0][0]),

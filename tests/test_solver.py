@@ -27,6 +27,7 @@ from powerdom.solver import (
     DEFAULT_WORK_LIMIT,
     GammaResult,
     PdsSolution,
+    _TWIN_MIN_N,
     _Budget,
     _gamma_ppt,
     _rep_search,
@@ -418,37 +419,77 @@ def closed_neighbourhood(g: Graph, vertices) -> int:
 
 
 class TestTwinForts:
-    """The sets pooled before any run: N[F] for the forts F = {u, v}."""
+    """The sets pooled before any run: N[F] for one fort F = {u, v} of open
+    twins per class."""
 
-    def test_twin_sets_are_the_two_vertex_forts(self, catalog_conn_8):
-        corpus = [g for g in catalog_conn_8 if g.n <= 7]
-        corpus += [gen_random_tree(n, 9000 + n) for n in range(4, 20)]
-        corpus += [gen_star(6), gen_spider(3, 2), gen_complete(5), gen_cycle(4)]
-        for g in corpus:
-            want = {closed_neighbourhood(g, f) for f in two_vertex_forts(g)}
-            if g.n < 4:
-                # below four vertices every such set is V, so none is pooled
-                assert want <= {g.full_mask} and _twin_forts(g) == [], g.edges()
-                continue
-            assert set(_twin_forts(g)) == want, g.edges()
+    @staticmethod
+    def expected(g: Graph) -> list[int]:
+        # the pairs of non-adjacent vertices that are forts by the definition
+        # are the open twins; each class is a clique of such pairs
+        classes = {}
+        for u, v in two_vertex_forts(g):
+            if v not in g.neighbors(u):
+                classes.setdefault(u, {u}).add(v)
+                classes.setdefault(v, {v}).add(u)
+        least_pairs = {min(c): sorted(c)[:2] for c in classes.values()}
+        return sorted(closed_neighbourhood(g, pair) for pair in least_pairs.values())
 
-    def test_every_power_dominating_set_meets_every_twin_set(self, catalog_conn_8):
-        for g in (g for g in catalog_conn_8 if g.n <= 6):
+    @staticmethod
+    def corpus():
+        yield from (gen_random_tree(n, 9000 + n) for n in range(9, 25))
+        yield from (gen_random_connected(n, (5 * n + 2) // 4, 9100 + n) for n in range(9, 17))
+        yield from (gen_star(8), gen_spider(3, 3), gen_complete(9), gen_cycle(10))
+        # K_{3,6}: two classes, one on each side
+        yield Graph(9, [(u, v) for u in range(3) for v in range(3, 9)])
+
+    def test_one_set_per_class_of_open_twins(self):
+        found = 0
+        for g in self.corpus():
+            got = _twin_forts(g)
+            assert sorted(got) == self.expected(g), g.edges()
+            assert len(got) <= g.n // 2
+            found += len(got)
+        assert found > 20
+
+    def test_none_below_the_size_gate(self, catalog_conn_8):
+        assert max(g.n for g in catalog_conn_8) < _TWIN_MIN_N
+        assert all(_twin_forts(g) == [] for g in catalog_conn_8)
+
+    def test_every_power_dominating_set_meets_every_twin_set(self):
+        # seeds whose graphs have two classes of twins, or one
+        graphs = [gen_random_tree(9, 9215), gen_random_tree(10, 9213)]
+        graphs += [gen_random_connected(9, 10, 9315), gen_random_connected(10, 11, 9310)]
+        graphs += [gen_star(8), Graph(9, [(u, v) for u in range(3) for v in range(3, 9)])]
+        for g in graphs:
             twins = _twin_forts(g)
+            assert twins, g.edges()
             for k in range(1, g.n + 1):
                 for s in combinations(range(g.n), k):
                     if is_pds(g, s):
                         mask = sum(1 << v for v in s)
                         assert all(nf & mask for nf in twins), (s, g.edges())
 
+    def test_large_twin_classes_pool_one_set(self):
+        # the 3,000 leaves of a star are one class, so one set {0, 1, 2} is
+        # pooled where every pair of leaves would give about 4.5 million;
+        # the centre is then forced, and the search answers in 4 units
+        star = gen_star(3000)
+        assert _twin_forts(star) == [0b111]
+        assert gamma_p(star, work_limit=4).gamma_p == 1
+        with pytest.raises(SearchBudgetExceeded):
+            gamma_p(star, work_limit=3)
+        # K_{3,2000}: one set per side, N(3) + 3 + 4 and N(0) + 0 + 1
+        kab = Graph(2003, [(u, v) for u in range(3) for v in range(3, 2003)])
+        assert sorted(_twin_forts(kab)) == [0b11111, (1 << 2003) - 1 - 0b100]
+
     def test_two_leaves_force_their_neighbour(self):
-        # the leaves 4, 5 of 2 pool N[{4, 5}] = {2, 4, 5}, cut to {2} over
-        # the representatives {1, 2}: the root and the leaf {2} are the
-        # whole search, where the representative 1 was tried first before
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
-        assert g.representatives == 0b110
-        assert 0b110100 in _twin_forts(g)
-        assert _gamma_ppt(g, 2) == (1, 2)
+        # the leaves 7, 8 of 3 pool N[{7, 8}] = {3, 7, 8}, cut to {3} over
+        # the representatives {1, ..., 5}: the root and the vertex 3 are
+        # the whole search, where 6 units went without the twin set
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (3, 8)])
+        assert g.representatives == 0b111110
+        assert _twin_forts(g) == [0b110001000]
+        assert _gamma_ppt(g, 2) == (1, 3)
         with pytest.raises(SearchBudgetExceeded):
             _gamma_ppt(g, 1)
 
