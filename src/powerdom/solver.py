@@ -265,8 +265,8 @@ def _branch_search(
 
 # Below this many vertices the twin pass costs more than it saves: over
 # gamma_p, l = 2 and bounds on 80 seeded random trees and sparse graphs
-# per size, it added 2-9% at five to eight vertices and saved 1.5-2.5% at
-# nine and ten.
+# per size, it added 2-11% at five to eight vertices and saved up to 2.6%
+# at nine and ten.
 _TWIN_MIN_N = 9
 
 
