@@ -551,6 +551,42 @@ class TestOneSearch:
             self.assert_only_representatives(t, searched, self.CALLS + tree_calls)
 
 
+def test_units_and_kernel_runs_on_the_sparse_pool(perfbench_sparse, kernel_runs, monkeypatch):
+    # pins the traversal: a change to how a node finds its missed sets or
+    # its branch set, or to the pool's order, moves these exact counts
+    spent = [0]
+    real_spend = _Budget.spend
+
+    def spend(self, units=1):
+        spent[0] += units
+        real_spend(self, units)
+
+    monkeypatch.setattr(_Budget, "spend", spend)
+    workloads, ref = perfbench_sparse
+    ops = {
+        "gamma_p": gamma_p,
+        "l1": lambda g: l_round_number(g, 1),
+        "l2": lambda g: l_round_number(g, 2),
+        "verify_tree": verify_tree_diameter_bound,
+    }
+    got = {}
+    for name, op in ops.items():
+        spent[0] = 0
+        kernel_runs.clear()
+        for key in ref:
+            kind, n, i = key.split("-")
+            if kind == "tree" or name != "verify_tree":
+                # a fresh Graph per op, so no op inherits another's lazy state
+                op(workloads.pool_graph(kind, int(n), int(i)))
+        got[name] = (spent[0], len(kernel_runs))
+    assert got == {
+        "gamma_p": (27228, 15141),
+        "l1": (5215, 840),
+        "l2": (6205, 2715),
+        "verify_tree": (7073, 4047),
+    }
+
+
 class TestLRound:
     def test_l1_is_domination_number(self):
         # gamma(P_4) = 2 but gamma_P(P_4) = 1
