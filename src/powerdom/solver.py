@@ -9,16 +9,22 @@ if propagation from S stops at an observed set C other than V, then
 V - C is a fort that N[S] misses.
 
 The search deepens k = 1, 2, ... and keeps a pool of the sets N[F] known
-so far, which stay valid for every k. A node is a pair (S, excluded)
-with |S| <= k, charged one unit of work. If S misses a pooled N[F], the
-node branches on the one with the fewest vertices outside excluded,
-b_1 < ... < b_m: child i adds b_i to S and b_1..b_(i-1) to excluded.
-With one vertex left to add, the children are instead the vertices in
-every missed N[F], since any other child would miss one of them. If S
-misses no pooled set, propagation runs once. A full result at |S| = k is
-a witness. A failed run adds N[V - final] to the pool and S branches on
-it; a run at |S| < k always fails, since a smaller PDS would have ended
-the search at a smaller k.
+so far, which stay valid for every k. A node (S, excluded, room), with
+room = k - |S| >= 1, is charged one unit of work and reads the sets that
+S misses off the pool, in pool order. If there are any, it branches on
+the first one with the fewest vertices outside excluded, b_1 < ... < b_m:
+child i adds b_i to S and b_1..b_(i-1) to excluded. With one vertex left
+to add, the children are instead the vertices in every missed N[F], since
+any other child would miss one of them. If S misses no pooled set,
+propagation runs once. A full result at |S| = k is a witness. A failed
+run adds N[V - final] to the pool and S branches on it; a run at |S| < k
+always fails, since a smaller PDS would have ended the search at a
+smaller k. S grows along a path, so a node misses its parent's missed
+sets that S still misses and then those pooled since, in that order: the
+branch set, and so the order of the hits, is fixed by S, excluded and
+the pool. A set pooled twice changes nothing: the first smallest set has
+the same bits whichever copy comes first, and a copy moves neither the
+intersection above nor the packing floor below.
 
 Every minimum PDS T is reached exactly once. At a node with S inside T
 and excluded disjoint from T, T meets the branch set, since T meets every
@@ -69,37 +75,38 @@ components of each component's least, and ppt_graph never builds them.
 Every caller but gamma_p's witness list (ppt_graph, gamma_p with
 witnesses=False, the tree certificate, and l_round_number, which with
 l = n gives gamma_P to the demo, ppt_lower_bound and the tree repair)
-runs _rep_search, which changes the search above in four ways. (1) Its S
-are sets of representatives: x is skipped when some neighbour y has N[x]
-strictly inside N[y], or N[x] = N[y] and y < x. Call a set successful
-when it reaches V within l steps (any PDS for l >= n). Take a successful
-T and such an x in T. If y is in T, N[T - x] = N[T], so T - x is
-successful and smaller. Otherwise T - x + y has |T| vertices and
-N[T - x + y] contains N[T]; one forcing round is monotone in the observed
-set (if A is inside B, what A forces is in B or forced by B), so each
-later layer contains T's and it succeeds in no more steps. A drop shrinks
-T and a swap raises (|N[y]|, -y), so repeated moves end inside the
-representatives with at most |T| vertices and no more steps. So the least
-k over the representatives is the least over V, and the first hit has
-it. Pooled sets are cut down to the representatives; T meets the cut set
-wherever it meets the whole, so the argument above holds for T with S and
-excluded inside the representatives. (2) The pool starts with the twin
-sets and the ball B_l(u) of radius l around every vertex u: layer l of T
-is V and lies inside the radius-l ball around T, so T meets B_l(u). For
-l = 1 these are the sets N[u], and the search is exact dominating-set
-branching; a twin set N[{u, v}] contains N[u] there, so it would prune
-nothing and is left out. For l >= n every ball is V. A failed run still
-pools N[V - final], and the twin sets hold, since T is a PDS. (3) A
-run that reaches V in more than l steps leaves no fort. T then has a
-vertex outside S, for S is not successful, so the node branches on the
-representatives outside S and excluded, which T meets; T is still reached
-exactly once. A run within l steps at |S| < k cannot happen: the search
-at k = |S| would have reached S. (4) ppt_graph, gamma_p with
-witnesses=False and the tree certificate keep every hit at the least k,
-with l >= n. For a minimum PDS T with ppt(T) = ppt(G) the moves of (1)
-are all swaps, since T - x would be a smaller PDS, and end at a hit in
-ppt(G) steps: the least step count among the hits is ppt(G). gamma_p with
-its witness list searches all of V with pool [V] instead: the list must
+runs _branch_search over the representatives, which changes the search
+above in four ways. (1) Its S are sets of representatives: x is skipped
+when some neighbour y has N[x] strictly inside N[y], or N[x] = N[y] and
+y < x. Call a set successful when it reaches V within l steps (any PDS
+for l >= n). Take a successful T and such an x in T. If y is in T,
+N[T - x] = N[T], so T - x is successful and smaller. Otherwise T - x + y
+has |T| vertices and N[T - x + y] contains N[T]; one forcing round is
+monotone in the observed set (if A is inside B, what A forces is in B or
+forced by B), so each later layer contains T's and it succeeds in no more
+steps. A drop shrinks T and a swap raises (|N[y]|, -y), so repeated moves
+end inside the representatives with at most |T| vertices and no more
+steps. So the least k over the representatives is the least over V, and
+the first hit has it. Pooled sets are cut down to the representatives; T
+meets the cut set wherever it meets the whole, so the argument above
+holds for T with S and excluded inside the representatives. (2) The pool
+starts with the twin sets and the ball B_l(u) of radius l around every
+vertex u: layer l of T is V and lies inside the radius-l ball around T,
+so T meets B_l(u). For l = 1 these are the sets N[u], and the search is
+exact dominating-set branching; a twin set N[{u, v}] contains N[u] there,
+so it would prune nothing and is left out. For l >= n every ball is V,
+and the pool holds allowed once. A failed run still pools N[V - final],
+and the twin sets hold, since T is a PDS. (3) A run that reaches V in
+more than l steps leaves no fort. T then has a vertex outside S, for S is
+not successful, so the node branches on the representatives outside S
+and excluded, which T meets; T is still reached exactly once. A run
+within l steps at |S| < k cannot happen: the search at k = |S| would
+have reached S. (4) ppt_graph, gamma_p with witnesses=False and the tree
+certificate keep every hit at the least k, with l >= n. For a minimum
+PDS T with ppt(T) = ppt(G) the moves of (1) are all swaps, since T - x
+would be a smaller PDS, and end at a hit in ppt(G) steps: the least step
+count among the hits is ppt(G). gamma_p with its witness list searches
+all of V instead, with the twin sets and V in its pool: the list must
 hold every minimum PDS, including those that use a dominated vertex such
 as a leaf.
 """
@@ -167,16 +174,21 @@ class _Budget:
             )
 
 
-def _branch_search(
-    g: Graph, budget: _Budget, pool: list[int], allowed: int, l: int
-) -> Iterator[tuple[tuple, int]]:
+def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[tuple[tuple, int]]:
     """Yield (S as a vertex tuple, steps) for every S inside allowed that
     reaches V within l steps, at the least k = |S| where one does, then
-    stop. A caller that needs only k takes the first hit. pool holds sets
-    inside allowed that every such S meets; the search appends
-    N[V - final] & allowed for each failed run."""
+    stop. A caller that needs only k takes the first hit. g is connected.
+    The pool starts as in (2) of the module docstring, cut to allowed, and
+    gains N[V - final] & allowed for each failed run."""
     core = g.core
     full = g.full_mask
+    if l < g.n:
+        for balls in islice(g._grow_balls(), l + 1):
+            pass
+    else:
+        # V is a fort with N[V] = V, and no run takes more than n steps
+        balls = [allowed]
+    pool = [nf & allowed for nf in (_twin_forts(g) if l > 1 else []) + balls]
 
     def add_fort(final: int) -> int:
         """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
@@ -199,21 +211,16 @@ def _branch_search(
         if floor > k:
             continue
         found = False
-        # (S, excluded, k - |S| >= 1, the parent's missed sets, pool length
-        # it saw); the nodes with one vertex left run their children inline
-        stack = [(0, 0, k, [], 0)]
+        # (S, excluded, room); the nodes with room 1 run their children inline
+        stack = [(0, 0, k)]
         while stack:
-            s, excluded, room, missed, seen = stack.pop()
+            s, excluded, room = stack.pop()
             budget.spend()
-            missed = [nf for nf in missed if not nf & s]
-            if len(pool) > seen:
-                missed += [nf for nf in pool[seen:] if not nf & s]
-                seen = len(pool)
+            missed = [nf for nf in pool if not nf & s]
             if not missed:
                 final, steps = core.fixed_point(s)
                 if final != full:
                     missed = [add_fort(final)]
-                    seen += 1
                 elif steps <= l:
                     raise InternalConsistencyError(
                         f"a set of {k - room} vertices succeeds, below k = {k}"
@@ -227,6 +234,7 @@ def _branch_search(
                 branch = keep
                 for nf in missed:
                     branch &= nf
+                seen = len(pool)
                 while branch:
                     b = branch & -branch
                     branch ^= b
@@ -257,7 +265,7 @@ def _branch_search(
             while branch:
                 b = 1 << (branch.bit_length() - 1)
                 branch ^= b
-                stack.append((s | b, excluded | branch, room - 1, missed, seen))
+                stack.append((s | b, excluded | branch, room - 1))
         if found:
             return
     raise AssertionError("allowed always succeeds as a whole; unreachable")
@@ -291,10 +299,7 @@ def _twin_forts(g: Graph) -> list[int]:
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
-    # V is a fort with N[V] = V, and no run takes more than n steps
-    pool = _twin_forts(g)
-    pool.append(g.full_mask)
-    hits = sorted(_branch_search(g, budget, pool, g.full_mask, g.n))
+    hits = sorted(_branch_search(g, budget, g.full_mask, g.n))
     return GammaResult(
         gamma_p=len(hits[0][0]),
         witnesses=tuple(PdsSolution(*hit) for hit in hits),
@@ -348,24 +353,9 @@ def gamma_p(
     )
 
 
-def _rep_search(g: Graph, budget: _Budget, l: int) -> Iterator[tuple[tuple, int]]:
-    """_branch_search over a connected g's representatives, pool as in (2)
-    of the module docstring; l >= n grows no balls, for each would be V."""
-    reps = g.representatives
-    pool = _twin_forts(g) if l > 1 else []
-    if l < g.n:
-        for balls in islice(g._grow_balls(), l + 1):
-            pass
-        pool += balls
-    else:
-        pool.append(reps)
-    pool = list(dict.fromkeys([nf & reps for nf in pool]))
-    return _branch_search(g, budget, pool, reps, l)
-
-
 def _least_ppt_hit(g: Graph, budget: _Budget) -> tuple[int, tuple]:
     """(ppt(g), S) for the least hit S in ppt(g) steps, by (4) above; g connected."""
-    return min((steps, s) for s, steps in _rep_search(g, budget, g.n))
+    return min((steps, s) for s, steps in _branch_search(g, budget, g.representatives, g.n))
 
 
 def _gamma_ppt(g: Graph, work_limit: int) -> tuple[int, int]:
@@ -390,6 +380,6 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
     _, parts = _per_component(
-        g, _Budget(work_limit), lambda h, b: len(next(_rep_search(h, b, l))[0])
+        g, _Budget(work_limit), lambda h, b: next(_branch_search(h, b, h.representatives, l))[0]
     )
-    return sum(parts)
+    return sum(map(len, parts))

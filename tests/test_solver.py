@@ -29,8 +29,8 @@ from powerdom.solver import (
     PdsSolution,
     _TWIN_MIN_N,
     _Budget,
+    _branch_search,
     _gamma_ppt,
-    _rep_search,
     _twin_forts,
     gamma_p,
     l_round_number,
@@ -304,7 +304,7 @@ class TestCap:
 
     @staticmethod
     def assert_capped_search_matches(g, gp):
-        hit, _ = next(_rep_search(g, _Budget(DEFAULT_WORK_LIMIT), g.n))
+        hit, _ = next(_branch_search(g, _Budget(DEFAULT_WORK_LIMIT), g.representatives, g.n))
         assert len(hit) == gp and is_pds(g, hit), g.edges()
         assert l_round_number(g, g.n) == gp, g.edges()
 
@@ -508,9 +508,9 @@ class TestOneSearch:
         calls = []
         real = solver._branch_search
 
-        def recording(g, budget, pool, allowed, l):
+        def recording(g, budget, allowed, l):
             calls.append((g, allowed))
-            return real(g, budget, pool, allowed, l)
+            return real(g, budget, allowed, l)
 
         monkeypatch.setattr(solver, "_branch_search", recording)
         return calls
@@ -655,7 +655,7 @@ class TestLRound:
             gp = gamma_p(g).gamma_p
             budgets = {l: _Budget(10**6) for l in (10**9, g.n, g.n - 1)}
             for l, budget in budgets.items():
-                assert len(next(_rep_search(g, budget, l))[0]) == gp, l
+                assert len(next(_branch_search(g, budget, g.representatives, l))[0]) == gp, l
             assert len({budget.used for budget in budgets.values()}) == 1
             assert l_round_number(g, 10**9) == gp
 

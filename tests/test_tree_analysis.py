@@ -10,7 +10,7 @@ from powerdom.errors import InternalConsistencyError, SearchBudgetExceeded
 from powerdom.families import gen_cycle, gen_path, gen_random_tree, gen_spider, gen_star
 from powerdom.graph import Graph
 from powerdom.propagation import is_pds, ppt_of_set, propagate
-from powerdom.solver import _Budget, _rep_search, gamma_p
+from powerdom.solver import _Budget, _branch_search, gamma_p
 from powerdom.trails import extract_monotone_trail
 from powerdom.tree_analysis import TreeCertificate, repair_leaf_seeds, verify_tree_diameter_bound
 
@@ -242,7 +242,7 @@ CATERPILLAR = caterpillar(3)
 
 def _search_units(t) -> int:
     budget = _Budget(10**6)
-    list(_rep_search(t, budget, t.n))
+    list(_branch_search(t, budget, t.representatives, t.n))
     return budget.used
 
 
