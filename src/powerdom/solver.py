@@ -178,8 +178,8 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
     """Yield (S as a vertex tuple, steps) for every S inside allowed that
     reaches V within l steps, at the least k = |S| where one does, then
     stop. A caller that needs only k takes the first hit. g is connected.
-    The pool starts as in (2) of the module docstring, cut to allowed, and
-    gains N[V - final] & allowed for each failed run."""
+    Its pool starts as in (2) and (4) of the module docstring, cut to
+    allowed, and gains N[V - final] & allowed for each failed run."""
     core = g.core
     full = g.full_mask
     if l < g.n:
