@@ -40,10 +40,10 @@ class ObservationTrace:
     (forcer, i) with the smallest eligible forcer, and each vertex
     observed at step 1 outside the seeds to (smallest seed neighbor, 1).
 
-    A private cache, _trails, holds every MonotoneTrail that
-    trails.extract_monotone_trail has returned for this trace, keyed by
-    its last vertex; later trails are built on those. It takes no part in
-    equality, repr or to_json_dict.
+    Private caches, outside equality, repr and to_json_dict, and empty in a
+    dataclasses.replace copy: _trails holds every MonotoneTrail that
+    trails.extract_monotone_trail has returned, by last vertex, and _levels
+    the vertex mask of each time label, built at a trail's first detour.
     """
 
     graph: Graph
@@ -53,6 +53,7 @@ class ObservationTrace:
     forcing_record: Mapping
     complete: bool
     _trails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -60,13 +61,12 @@ class ObservationTrace:
         return len(self.layers) - 1
 
     def to_json_dict(self) -> dict:
+        rec = self.forcing_record
         return {
             "start": sorted(self.start),
             "layers": [sorted(layer) for layer in self.layers],
             "time_label": list(self.time_label),
-            "forcing_record": sorted(
-                [v, w, step] for v, (w, step) in self.forcing_record.items()
-            ),
+            "forcing_record": [[v, *rec[v]] for v in sorted(rec)],
             "complete": self.complete,
         }
 
@@ -86,9 +86,10 @@ def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
         labels[v] = 0
     layers = [frozenset(seeds)]
     record = {}
+    full = g.full_mask
     for i in range(1, len(masks)):
         prev = masks[i - 1]
-        unobserved = ~prev
+        unobserved = full ^ prev
         new = _bits(masks[i] & unobserved)
         for v in new:
             labels[v] = i
@@ -110,15 +111,7 @@ def propagate(g: Graph, s: Iterable[int]) -> ObservationTrace:
             record[v] = (w, i)
         layers.append(layers[-1].union(new))
 
-    complete = masks[-1] == g.full_mask
-    return ObservationTrace(
-        graph=g,
-        start=layers[0],
-        layers=tuple(layers),
-        time_label=tuple(labels),
-        forcing_record=record,
-        complete=complete,
-    )
+    return ObservationTrace(g, layers[0], tuple(layers), tuple(labels), record, masks[-1] == full)
 
 
 def is_pds(g: Graph, s: Iterable[int]) -> bool:

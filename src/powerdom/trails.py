@@ -9,46 +9,51 @@ For any power dominating set whose members all have degree at least two,
 every vertex v outside the set is the endpoint of a monotone trail of
 length at least t(v) + 1; extract_monotone_trail builds one by walking the
 forcing history backwards. That existence is checked constructively by the
-test suite rather than assumed.
-
-The backward walk is iterative: every step moves to a vertex observed one
-round earlier, so it appends to one list, which is reversed once at the
-end. Trail length is bounded only by the graph, not by a recursion limit.
-Every vertex the walk reads from the forcing record is checked to lie in
-the graph, and a step-1 source must have a neighbor besides the vertex it
-observed, so a corrupt trace raises InternalConsistencyError instead of
-indexing out of range or returning a trail through a vertex that does not
-exist.
-One checking pass, _trail_labels, both computes the edge labels and finds
-the first violated condition. is_monotone_trail runs it over the whole
-walk and reports that violation. Both functions raise ValueError when the
-trace was computed on a graph that is neither g nor equal to g.
+test suite rather than assumed. Every vertex the walk reads from the
+forcing record is checked to lie in the graph, and a step-1 source must
+have a second neighbor, so a corrupt trace raises InternalConsistencyError,
+never an index error or a trail through a vertex that does not exist. Both
+public functions raise ValueError when the trace was computed on a graph
+that is neither g nor equal to g.
 
 Where the walk goes next depends only on the vertex it stands on, so the
-trail to v is the trail to any vertex x on its walk, followed by the walk
-from x to v. Each trace keeps, in its private _trails dict, every trail
-extract_monotone_trail has returned for it, by last vertex. The walk stops
-at the first vertex with a kept trail, or at step 1, and the new trail is
-the kept one followed by the reversed new walk. Only returned trails are
-kept: keeping one for every vertex a walk passes would hold a trail per
-vertex of a long path, quadratic memory for a single far-end trail.
+trail to v is the trail to any vertex on its walk, followed by the walk
+from there. Each trace keeps, in its private _trails dict, every trail
+extract_monotone_trail has returned for it, by last vertex, and the walk
+stops at a kept trail's last vertex or at step 1. Keeping a trail for every
+vertex a walk passes would hold quadratic memory on a long path.
 
-Every returned trail is still checked by _trail_labels, over a window:
-the kept trail's trailing edges whose labels are at least the first new
-edge's label, always including its last edge, followed by the new edges.
-The window check fails exactly when a check of the whole trail would:
+The walk checks each edge it adds. A step from x_i, observed at i, with
+forcer w adds {w,x_i} when t(w) = i - 1 (then x_{i-1} = w), else the detour
+{x_{i-1},w}, {w,x_i} through w's smallest neighbor x_{i-1} observed at
+i - 1. The walk, which stops at x_j, is sound when every {w,x_i} is an
+edge, every detour has t(w) < i - 1, and no forcer of x_i is the detour
+forcer that led to x_i; a step-1 start s, w, x_1 also needs t(w) = 0 and
+t(s) <= 1. A sound trail passes all four conditions (adjacent steps, no
+repeated edge, monotone labels, last label) with no label looked up, so
+the reduced check fails exactly when a check of the whole trail would:
 
-- the kept prefix already passed all four conditions (consecutive
-  vertices adjacent, no edge repeated, labels monotone, last label);
-- the window checks adjacency, the join and monotonicity of the new
-  edges, and the last label;
-- an edge's label is a function of the edge, and the prefix's labels
-  never decrease, so any edge a new edge could repeat lies in the window.
-  (If the new labels are monotone they are all at least the first one, and
-  so is the label of any edge they repeat; if not, the window fails.)
+- {x_{i-1},w} and {s,w} are edges by their choice; a kept trail passed;
+- the labels are i into x_i, i - 1 on {x_{i-1},w}, and max(t(s), 0) then
+  1 at a step-1 start, so they rise by 0 or 1 and end at t(v); a kept
+  trail ends at j, and the first new label is j or j + 1;
+- a repeated edge repeats its label. A label is on at most two new edges,
+  (a, x_i) then (x_i, b), equal exactly when a detour comes straight back
+  (a = b). An older edge can be repeated only at label j, by a detour
+  {x_j,w}; that is not {s,w}, which misses x_1, and it is a kept trail's
+  last edge exactly when it comes straight back;
+- each step adds an edge, so the trail has at least t(v) + 1 edges.
 
-Only the reason given can differ, when the window meets a monotonicity
-violation before a repeat that lies outside it; the error type is the same.
+Other trails, and one after a kept trail whose last two edges are
+labelled j, go through _trail_labels, one pass that reports a missing or
+repeated edge anywhere, else the first monotonicity break, else the last
+label: over the whole trail after a step-1 start, else over a window of
+the kept trail's edges labelled at least the first new label (its last
+edge at least) and the new edges. The window fails exactly when the whole
+trail would: the prefix passed, and as its labels never decrease, an older
+edge that a new one repeats lies in the window (monotone new labels are
+all at least the first; others fail). Only the reason can differ, when the
+window meets a monotonicity break before a repeat outside it.
 """
 
 from __future__ import annotations
@@ -98,48 +103,41 @@ class TrailCheck(NamedTuple):
         return self.ok
 
 
-def _check_args(g: Graph, trace: ObservationTrace, vertices: Sequence[int]) -> None:
-    if trace.graph is not g and trace.graph != g:
-        raise ValueError("the trace was computed on a different graph")
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-
-
 def _trail_labels(g: Graph, t: Sequence[int], vertices: Sequence[int]) -> tuple:
     """(edge labels, None) for a monotone trail, else (None, first violation).
 
     Vertices must be in range and observed, and there must be at least two.
     """
-    adj = g.adjacency_masks
-    seen = set()
-    labels = []
+    adj, n = g.adjacency_masks, g.n
+    seen, labels, broken = set(), [], None
     a = vertices[0]
     for b in vertices[1:]:
         if not (adj[a] >> b) & 1:
             return None, f"consecutive vertices {a},{b} are not adjacent"
-        key = (a, b) if a < b else (b, a)
+        key = a * n + b if a < b else b * n + a
         if key in seen:
             return None, f"edge {{{a},{b}}} repeats"
         seen.add(key)
-        ta, tb = t[a], t[b]
-        labels.append(ta if ta > tb else tb)
+        label = max(t[a], t[b])
+        if broken is None and labels and not labels[-1] <= label <= labels[-1] + 1:
+            broken = (f"edge labels {labels[-1]} -> {label} violate monotonicity"
+                      f" at position {len(labels)}")
+        labels.append(label)
         a = b
-    for i in range(1, len(labels)):
-        if not labels[i - 1] <= labels[i] <= labels[i - 1] + 1:
-            return None, (
-                f"edge labels {labels[i-1]} -> {labels[i]} violate monotonicity at position {i}"
-            )
-    if labels[-1] != t[a]:
-        return None, f"last edge label {labels[-1]} differs from last vertex label {t[a]}"
-    return tuple(labels), None
+    if broken is None and labels[-1] != t[a]:
+        broken = f"last edge label {labels[-1]} differs from last vertex label {t[a]}"
+    return (None, broken) if broken else (tuple(labels), None)
 
 
 def is_monotone_trail(
     g: Graph, trace: ObservationTrace, vertices: Sequence[int]
 ) -> TrailCheck:
     """Check the monotone trail conditions; report the first violation."""
-    _check_args(g, trace, vertices)
+    if trace.graph is not g and trace.graph != g:
+        raise ValueError("the trace was computed on a different graph")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
     if len(vertices) < 2:
         raise ValueError("a trail needs at least one edge (two vertices)")
     for v in vertices:
@@ -158,84 +156,93 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     of its forcer (observed at i-1), or of the forcer's smallest neighbor
     observed at exactly i-1 when the forcer was observed earlier. Ties
     always break to the smallest vertex ID, so extraction is deterministic.
-    The walk stops early at a vertex whose trail was already returned for
-    this trace, and extends that trail.
     """
-    _check_args(g, trace, (v,))
+    if trace.graph is not g and trace.graph != g:
+        raise ValueError("the trace was computed on a different graph")
+    n = g.n
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
     kept = trace._trails
+    if v in kept:
+        return kept[v]
     if not kept:  # a kept trail means the seeds passed this check
         for u in trace.start:
             if g.degree(u) <= 1:
                 raise ValueError(f"seed vertex {u} has degree {g.degree(u)} < 2")
     if v in trace.start:
         raise ValueError(f"vertex {v} is a seed; trails end outside the seed set")
-    if trace.time_label[v] == UNOBSERVED:
+    t = trace.time_label
+    if t[v] == UNOBSERVED:
         raise ValueError(f"vertex {v} is unobserved in this trace")
 
-    t = trace.time_label
     record = trace.forcing_record
     adj = g.adjacency_masks
-    n = g.n
-    # the trail from its end backwards, down to a kept trail's last vertex
-    # or to step 1; each step lowers the time label by one
-    walk = []
+    # the trail back from v to a kept trail's last vertex or to step 1, the
+    # labels of its edges, and the forcer of the detour that led to x if any
+    walk, labels, sound, back = [], [], True, -1
     x = v
-    while x not in kept:
+    while True:
         try:
             w, _ = record[x]
         except KeyError:
             raise InternalConsistencyError(f"observed vertex {x} has no forcing record") from None
         if not 0 <= w < n:
             raise InternalConsistencyError(f"recorded source {w} of {x} is out of range for n={n}")
+        if w == back or not (adj[w] >> x) & 1:
+            sound = False
         i = t[x]
         if i == 1:
             break
         walk.append(x)
+        labels.append(i)
         if t[w] == i - 1:
+            back = -1
             x = w
         else:
-            cand = adj[w]
-            while cand:
-                b = cand & -cand
-                y = b.bit_length() - 1
-                if t[y] == i - 1:
-                    break
-                cand ^= b
-            else:
+            levels = trace._levels
+            if not levels:  # the vertices of each time label, as one mask
+                for u, tu in enumerate(t):
+                    levels[tu] = levels.get(tu, 0) | 1 << u
+            cand = adj[w] & levels.get(i - 1, 0)
+            if not cand:
                 raise InternalConsistencyError(
                     f"forcer {w} of {x} (step {i}) has no neighbor observed at {i-1}"
                 )
+            y = (cand & -cand).bit_length() - 1
+            if t[w] >= i:
+                sound = False
             walk.append(w)
+            labels.append(i - 1)
+            back = w
             x = y
+        if x in kept:
+            break
     prefix = kept.get(x)
+    walk.reverse()
+    labels.reverse()
     if prefix is None:
         # x was observed at step 1 from w, its smallest seed neighbor
         others = adj[w] & ~(1 << x)
         if not others:
             raise InternalConsistencyError(f"step-1 source {w} of {x} has no other neighbor")
-        walk.append(x)
-        walk.append(w)
-        walk.append((others & -others).bit_length() - 1)  # the seed's smallest other neighbor
-        walk.reverse()
-        vertices = tuple(walk)
-        labels, reason = _trail_labels(g, t, vertices)
-    elif not walk:
-        return prefix
+        s = (others & -others).bit_length() - 1  # the seed's smallest other neighbor
+        vertices = (s, w, x, *walk)
+        head, m = (), 0
+        sound = sound and t[w] == 0 and t[s] <= 1
+        new = (max(t[s], 0), 1, *labels)
     else:
-        walk.reverse()
         vertices = prefix.vertices + tuple(walk)
         head = prefix.edge_labels
-        # the window starts at the first kept edge labelled at least the
-        # first new edge, and at the kept trail's last edge at the latest
-        first = max(t[x], t[walk[0]])
-        m = bisect_left(head, first, 0, len(head) - 1)
-        labels, reason = _trail_labels(g, t, vertices[m:])
-        if reason is None:
-            labels = head[:m] + labels
-    if reason is not None or len(labels) < t[v] + 1:
-        raise InternalConsistencyError(
-            f"extracted trail for vertex {v} is invalid: {reason or 'too short'}"
-        )
-    trail = MonotoneTrail(vertices=vertices, edge_labels=labels)
-    kept[v] = trail
+        sound = sound and (back < 0 or prefix.vertices[-2] != back and head[-2] < head[-1])
+        new = tuple(labels)
+        if not sound:  # the window, at the kept trail's last edge at the latest
+            m = bisect_left(head, max(t[x], t[walk[0]]), 0, len(head) - 1)
+    if not sound:
+        new, reason = _trail_labels(g, t, vertices[m:])
+        if reason is not None or m + len(new) < t[v] + 1:
+            raise InternalConsistencyError(
+                f"extracted trail for vertex {v} is invalid: {reason or 'too short'}"
+            )
+        head = head[:m]
+    trail = kept[v] = MonotoneTrail(vertices, head + new)
     return trail

@@ -79,6 +79,25 @@ class TestChecker:
         check = is_monotone_trail(g, tr, [2, 1])
         assert not check and "last edge label" in check.reason
 
+    # c8_with_chord from S={0}: edge {0,1} is labelled 1, the edges {1,2},
+    # {2,3} and {3,4} are labelled 5, and t(4) = 4
+    @pytest.mark.parametrize(
+        "walk,reason",
+        [
+            ([0, 1, 2, 3, 2], "edge {3,2} repeats"),
+            ([0, 1, 2, 3, 5], "consecutive vertices 3,5 are not adjacent"),
+            ([0, 1, 2, 3, 4], "edge labels 1 -> 5 violate monotonicity at position 1"),
+        ],
+        ids=["repeat-after-jump", "gap-after-jump", "jump-before-last-label"],
+    )
+    def test_first_violation_order(self, walk, reason):
+        # a missing or repeated edge anywhere comes before a monotonicity
+        # break, and a break comes before a wrong last label
+        g = c8_with_chord()
+        tr = propagate(g, {0})
+        assert is_monotone_trail(g, tr, walk) == TrailCheck(False, reason)
+        assert ref_is_monotone_trail(g, tr, walk) == TrailCheck(False, reason)
+
     def test_too_short_input_rejected(self):
         g = gen_path(4)
         tr = propagate(g, {1})
@@ -450,10 +469,15 @@ def catalog_cases():
 
 def hdelta_cases():
     rng = random.Random(6)
-    for delta in range(6, 11):
+    for delta in (*range(6, 11), 16):
         g, _ = gen_h_delta(delta)
         h, perm = _relabel(g, rng)
-        yield h, {perm[0], perm[delta + 1]}
+        # H_16 (n = 257, rows of five 64-bit words) also gets a seed every 60
+        # vertices along its level-3 path: from two seeds its trails run to
+        # 248 edges, and TestMatchesRecursiveExtractor checks every suffix of
+        # every trail, which took 7.7 s there
+        extra = range(delta + 61, g.n, 60) if delta > 10 else ()
+        yield h, {perm[0], perm[delta + 1], *(perm[v] for v in extra)}
 
 
 def spider_cases():
@@ -592,3 +616,39 @@ class TestKeptTrailsMatchColdExtraction:
             "InternalConsistencyError",
             "extracted trail for vertex 6 is invalid: edge {3,4} repeats",
         )
+
+
+def _relabelled(tr, rng, count):
+    """A copy of tr with count time labels replaced by seeded values from 0
+    to one past the last step, so that every vertex stays observed."""
+    t = list(tr.time_label)
+    for x in rng.sample(range(len(t)), min(count, len(t))):
+        t[x] = rng.randint(0, tr.steps + 1)
+    return replace(tr, time_label=tuple(t))
+
+
+@pytest.mark.parametrize(
+    "cases", [hdelta_cases, tree_cases, sparse_cases], ids=["hdelta", "tree", "sparse"]
+)
+def test_corrupted_labels_match_the_recursive_extractor(cases):
+    # the walk checks only the edges it adds and reads their labels off its
+    # own steps; with wrong time labels a cold trail must still be what the
+    # recursive extractor builds, or fail with the same message, and a warm
+    # one must fail where that one does
+    rng = random.Random(f"{cases.__name__} labels")
+    for g, seeds in cases():
+        tr = propagate(g, seeds)
+        for count in (1, 3, 8):
+            bad = _relabelled(tr, rng, count)
+            targets = [v for v in range(g.n) if v not in seeds]
+            warm = replace(bad)
+            for v in rng.sample(targets, len(targets)):
+                try:
+                    want = _outcome(ref_extract_monotone_trail, g, bad, v)
+                except KeyError as exc:  # the recursive extractor reads records unchecked
+                    want = (
+                        "InternalConsistencyError",
+                        f"observed vertex {exc} has no forcing record",
+                    )
+                assert _outcome(extract_monotone_trail, g, replace(bad), v) == want, (seeds, v)
+                assert _kind(_outcome(extract_monotone_trail, g, warm, v)) == _kind(want)
