@@ -5,11 +5,13 @@ bit w of row v is set iff vw is an edge. This module owns that format.
 The propagation engines, the solver, the catalog and the trail checker
 read the rows through adjacency_masks and pass vertex sets around as
 masks; _bits lists the vertices of a mask. Degrees are bit counts,
-edges() reads the bits above each row's own vertex, and components grow
-a mask frontier, so no query keeps a per-vertex set. The rows are
-immutable after construction and every query here is pure; the
-propagation engine, connectivity and the representatives mask are
-computed at first use and kept, as one object, one bool and one int.
+edges() reads the bits above each row's own vertex, and components and
+a tree's diameter grow a mask frontier, so no query keeps a per-vertex
+set. The rows are immutable after construction and every query here is
+pure; the propagation engine, connectivity and the representatives mask
+are computed at first use and kept, as one object, one bool and one int,
+and so are the open-twin sets, as one tuple of masks. Balls and
+neighbour lists are rebuilt by each caller, never kept.
 
 File format: first non-comment line is "n m", followed by exactly m
 non-comment lines "u v" (0 <= u,v < n, u != v). Lines starting with '#'
@@ -56,7 +58,7 @@ def _bits(mask: int) -> list[int]:
 class Graph:
     """A simple undirected graph over vertices 0..n-1."""
 
-    __slots__ = ("n", "_masks", "_core", "_connected", "_reps")
+    __slots__ = ("n", "_masks", "_core", "_connected", "_reps", "_twins")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -75,6 +77,7 @@ class Graph:
         self._core: PropagationCore | None = None
         self._connected: bool | None = None
         self._reps: int | None = None
+        self._twins: tuple[int, ...] | None = None
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
@@ -173,6 +176,26 @@ class Graph:
             self._reps = reps
         return self._reps
 
+    @property
+    def open_twin_sets(self) -> tuple[int, ...]:
+        """N(u) + u + v for the two least vertices u < v of every class of
+        open twins, N(u) = N(v), in the order of their rows. Equal rows are
+        found by a stable sort, which leaves each class in vertex order.
+        Hashing the rows would not do: an int hashes modulo 2^61 - 1, so 2^v
+        repeats every 61 vertices and the rows of a long path share a few
+        dozen hashes."""
+        if self._twins is None:
+            rows = self._masks
+            sets = []
+            last = None
+            order = sorted(range(self.n), key=rows.__getitem__)
+            for u, v in zip(order, order[1:]):
+                if rows[u] == rows[v] != last:
+                    last = rows[u]
+                    sets.append(last | 1 << u | 1 << v)
+            self._twins = tuple(sets)
+        return self._twins
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
@@ -189,51 +212,79 @@ class Graph:
             raise ValueError("max degree of the empty graph is undefined")
         return max(row.bit_count() for row in self._masks)
 
-    def _component(self, v: int) -> int:
-        """Mask of v's component, grown by one frontier of new vertices at a time."""
+    def _sweep(self, v: int) -> tuple[int, int, int]:
+        """(mask of v's component, the farthest frontier, its distance from v),
+        grown by one frontier of new vertices at a time."""
         masks = self._masks
         comp = frontier = 1 << v
-        while frontier:
+        depth = 0
+        while True:
             reach = 0
             for u in _bits(frontier):
                 reach |= masks[u]
-            frontier = reach & ~comp
-            comp |= frontier
-        return comp
+            reach &= ~comp
+            if not reach:
+                return comp, frontier, depth
+            comp |= reach
+            frontier = reach
+            depth += 1
 
     def is_connected(self) -> bool:
         if self._connected is None:
             if self.n == 0:
                 raise ValueError("connectivity of the empty graph is undefined")
-            self._connected = self._component(0) == self.full_mask
+            self._connected = self._sweep(0)[0] == self.full_mask
         return self._connected
 
     def diameter(self) -> int:
-        """Maximum shortest-path distance: the least radius at which every
-        ball is all of V."""
-        if self.n == 0:
+        """Maximum shortest-path distance. On a tree, two sweeps: a vertex
+        farthest from vertex 0 ends a longest path (else the tree path from
+        it to a longest path's far end would be longer), so its
+        eccentricity is the diameter. On other graphs, the least radius at
+        which every ball is all of V."""
+        n = self.n
+        if n == 0:
             raise ValueError("diameter of the empty graph is undefined")
         full = self.full_mask
-        for radius, balls in enumerate(self._grow_balls()):
-            if all(ball == full for ball in balls):
-                return radius
+        if self.edge_count == n - 1:
+            # connected with n - 1 edges is a tree
+            comp, far, _ = self._sweep(0)
+            if comp == full:
+                return self._sweep(far.bit_length() - 1)[2]
+        else:
+            for radius, balls in enumerate(self._grow_balls()):
+                if balls.count(full) == n:
+                    return radius
         raise DisconnectedGraphError("diameter is undefined on a disconnected graph")
 
     def _grow_balls(self) -> Iterator[list[int]]:
         """Masks of the radius-r balls around every vertex, for r = 0, 1, ...
-        until they stop growing."""
-        neighbors = [_bits(row) for row in self._masks]
+        until they stop growing. Radius 1 is the closed rows; from radius 2
+        each ball is the union of the previous balls of its closed
+        neighbourhood, and a ball that is all of V is kept as it is.
+        diameter grows them only on graphs that are not trees, which take
+        two sweeps instead."""
+        masks = self._masks
         balls = [1 << v for v in range(self.n)]
+        yield balls
+        grown = [row | ball for row, ball in zip(masks, balls)]
+        if grown == balls:
+            return
+        balls = grown
+        yield balls
+        full = self.full_mask
+        neighbors = [_bits(row) for row in masks]
         while True:
-            yield balls
             grown = []
             for v, ball in enumerate(balls):
-                for w in neighbors[v]:
-                    ball |= balls[w]
+                if ball != full:
+                    for w in neighbors[v]:
+                        ball |= balls[w]
                 grown.append(ball)
             if grown == balls:
                 return
             balls = grown
+            yield balls
 
     def is_tree(self) -> bool:
         if self.n == 0:
@@ -245,7 +296,7 @@ class Graph:
         comps = []
         rest = self.full_mask
         while rest:
-            comp = self._component((rest & -rest).bit_length() - 1)
+            comp = self._sweep((rest & -rest).bit_length() - 1)[0]
             comps.append(_bits(comp))
             rest &= ~comp
         return comps

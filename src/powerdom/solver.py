@@ -47,7 +47,9 @@ N(u) = N(v); they are never adjacent. Then F = {u, v} is a fort, for a
 vertex outside F is adjacent to both or to neither, and N[F] = N(u) + u +
 v. Having the same row is an equivalence, and on graphs of at least
 _TWIN_MIN_N vertices the pool starts with N[F] for the two least vertices
-of each class with two or more, exactly as if a run had found it. One
+of each class with two or more, exactly as if a run had found it. The
+graph finds these sets by one sort of its rows at first use and keeps
+them, so the searches on one graph share one pass. One
 pair per class is enough for the floor below: the sets of one class all
 contain N(u), which a connected graph keeps nonempty, so no two are
 disjoint. It also bounds the sets pooled before the first unit at n/2,
@@ -281,21 +283,8 @@ _TWIN_MIN_N = 9
 def _twin_forts(g: Graph) -> list[int]:
     """N[{u, v}] = N(u) + u + v for the two least vertices u < v of every
     class of open twins of g, as in the module docstring; none below
-    _TWIN_MIN_N vertices. Equal rows are found by a stable sort, which
-    leaves each class in vertex order. Hashing the rows would not do: an
-    int hashes modulo 2^61 - 1, so 2^v repeats every 61 vertices and the
-    rows of a long path share a few dozen hashes."""
-    forts = []
-    if g.n < _TWIN_MIN_N:
-        return forts
-    rows = g.adjacency_masks
-    last = None
-    order = sorted(range(g.n), key=rows.__getitem__)
-    for u, v in zip(order, order[1:]):
-        if rows[u] == rows[v] != last:
-            last = rows[u]
-            forts.append(last | 1 << u | 1 << v)
-    return forts
+    _TWIN_MIN_N vertices. The sets come from g, which finds them once."""
+    return list(g.open_twin_sets) if g.n >= _TWIN_MIN_N else []
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:

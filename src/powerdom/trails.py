@@ -10,9 +10,10 @@ every vertex v outside the set is the endpoint of a monotone trail of
 length at least t(v) + 1; extract_monotone_trail builds one by walking the
 forcing history backwards. That existence is checked constructively by the
 test suite rather than assumed. Every vertex the walk reads from the
-forcing record is checked to lie in the graph, and a step-1 source must
-have a second neighbor, so a corrupt trace raises InternalConsistencyError,
-never an index error or a trail through a vertex that does not exist. Both
+forcing record is checked to lie in the graph, a step-1 source or detour
+forcer to be observed, and a step-1 source to have a second neighbor, so
+a corrupt trace raises InternalConsistencyError, never an index error or
+a trail through a vertex that does not exist or was never observed. Both
 public functions raise ValueError when the trace was computed on a graph
 that is neither g nor equal to g.
 
@@ -199,6 +200,8 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
             back = -1
             x = w
         else:
+            if t[w] == UNOBSERVED:
+                raise InternalConsistencyError(f"recorded forcer {w} of {x} is unobserved")
             levels = trace._levels
             if not levels:  # the vertices of each time label, as one mask
                 for u, tu in enumerate(t):
@@ -222,6 +225,8 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
     labels.reverse()
     if prefix is None:
         # x was observed at step 1 from w, its smallest seed neighbor
+        if t[w] == UNOBSERVED:
+            raise InternalConsistencyError(f"recorded forcer {w} of {x} is unobserved")
         others = adj[w] & ~(1 << x)
         if not others:
             raise InternalConsistencyError(f"step-1 source {w} of {x} has no other neighbor")

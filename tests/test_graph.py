@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import DisconnectedGraphError, GraphParseError
-from powerdom.families import gen_complete, gen_cycle, gen_h_delta, gen_path, gen_star
+from powerdom.families import (
+    gen_complete,
+    gen_cycle,
+    gen_h_delta,
+    gen_path,
+    gen_random_tree,
+    gen_spider,
+    gen_star,
+)
 from powerdom.graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph, write_graph
 
 
@@ -259,7 +267,21 @@ class TestQueries:
             return max(max(bfs_distances(nbrs, v)) for v in range(g.n))
 
         hdelta = [gen_h_delta(delta)[0] for delta in range(3, 17)]
-        for g in catalog_all_8 + random_connected_500 + hdelta:
+        # trees take two sweeps in place of the balls
+        trees = [gen_random_tree(n, 4000 + n) for n in range(1, 61)]
+        trees += [gen_path(n) for n in range(1, 30)] + [gen_star(k) for k in range(1, 12)]
+        trees += [gen_spider(legs, length) for legs in range(1, 5) for length in range(1, 5)]
+        # caterpillars: the spine 0 - ... - k-1, each spine vertex with j leaves
+        trees += [
+            Graph(k + k * j, [(i, i + 1) for i in range(k - 1)]
+                  + [(i, k + i * j + h) for i in range(k) for h in range(j)])
+            for k in range(1, 8)
+            for j in range(3)
+        ]
+        assert all(t.edge_count == t.n - 1 and t.is_connected() for t in trees)
+        # n - 1 edges without being a tree: a triangle and an isolated vertex
+        triangle_and_point = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        for g in catalog_all_8 + random_connected_500 + hdelta + trees + [triangle_and_point]:
             if g.is_connected():
                 assert g.diameter() == bfs_diameter(g), g.edges()
             else:

@@ -551,9 +551,9 @@ class TestOneSearch:
             self.assert_only_representatives(t, searched, self.CALLS + tree_calls)
 
 
-def test_units_and_kernel_runs_on_the_sparse_pool(perfbench_sparse, kernel_runs, monkeypatch):
-    # pins the traversal: a change to how a node finds its missed sets or
-    # its branch set, or to the pool's order, moves these exact counts
+@pytest.fixture
+def units_spent(monkeypatch):
+    """The budget units spent from now, in a list of one count."""
     spent = [0]
     real_spend = _Budget.spend
 
@@ -562,29 +562,73 @@ def test_units_and_kernel_runs_on_the_sparse_pool(perfbench_sparse, kernel_runs,
         real_spend(self, units)
 
     monkeypatch.setattr(_Budget, "spend", spend)
+    return spent
+
+
+# the sparse benchmark's ops, in its order, and their units and kernel runs
+# over every pool entry, verify_tree on the trees alone
+SPARSE_POOL_OPS = {
+    "gamma_p": gamma_p,
+    "l1": lambda g: l_round_number(g, 1),
+    "l2": lambda g: l_round_number(g, 2),
+    "verify_tree": verify_tree_diameter_bound,
+}
+SPARSE_POOL_PINS = {
+    "gamma_p": (27228, 15141),
+    "l1": (5215, 840),
+    "l2": (6205, 2715),
+    "verify_tree": (7073, 4047),
+}
+
+
+def test_units_and_kernel_runs_on_the_sparse_pool(perfbench_sparse, kernel_runs, units_spent):
+    # pins the traversal: a change to how a node finds its missed sets or
+    # its branch set, or to the pool's order, moves these exact counts
     workloads, ref = perfbench_sparse
-    ops = {
-        "gamma_p": gamma_p,
-        "l1": lambda g: l_round_number(g, 1),
-        "l2": lambda g: l_round_number(g, 2),
-        "verify_tree": verify_tree_diameter_bound,
-    }
     got = {}
-    for name, op in ops.items():
-        spent[0] = 0
+    for name, op in SPARSE_POOL_OPS.items():
+        units_spent[0] = 0
         kernel_runs.clear()
         for key in ref:
             kind, n, i = key.split("-")
             if kind == "tree" or name != "verify_tree":
                 # a fresh Graph per op, so no op inherits another's lazy state
                 op(workloads.pool_graph(kind, int(n), int(i)))
-        got[name] = (spent[0], len(kernel_runs))
-    assert got == {
-        "gamma_p": (27228, 15141),
-        "l1": (5215, 840),
-        "l2": (6205, 2715),
-        "verify_tree": (7073, 4047),
-    }
+        got[name] = (units_spent[0], len(kernel_runs))
+    assert got == SPARSE_POOL_PINS
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["benchmark-order", "reversed"])
+def test_ops_sharing_one_graph_keep_the_sparse_pool_pins(
+    perfbench_sparse, kernel_runs, units_spent, reverse
+):
+    # one Graph per pool entry runs every op, as the benchmark's do: what an
+    # op keeps on the graph (connectivity, representatives, twin sets, the
+    # engine) must change no other op's answer, units or kernel runs
+    workloads, ref = perfbench_sparse
+    graphs = {}
+    for key in ref:
+        kind, n, i = key.split("-")
+        graphs[key] = (kind, workloads.pool_graph(kind, int(n), int(i)))
+    names = list(SPARSE_POOL_OPS)
+    got = {}
+    for name in reversed(names) if reverse else names:
+        units_spent[0] = 0
+        kernel_runs.clear()
+        for key, (kind, g) in graphs.items():
+            want = ref[key]
+            if name == "gamma_p":
+                res = gamma_p(g)
+                assert (res.gamma_p, len(res.witnesses), res.ppt_graph) == (
+                    want["gamma_p"], want["witnesses"], want["ppt"]
+                ), key
+            elif name == "verify_tree" and kind == "tree":
+                cert = verify_tree_diameter_bound(g)
+                assert (cert.diam, cert.ppt_repaired) == (want["diam"], want["ppt"]), key
+            elif name != "verify_tree":
+                assert SPARSE_POOL_OPS[name](g) == want[name], key
+        got[name] = (units_spent[0], len(kernel_runs))
+    assert got == SPARSE_POOL_PINS
 
 
 class TestLRound:

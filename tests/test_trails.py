@@ -276,6 +276,19 @@ class TestCorruptRecordsRaise:
         with pytest.raises(InternalConsistencyError):
             extract_monotone_trail(trace.graph, trace, v)
 
+    @pytest.mark.parametrize("x,entry,v", [(2, (4, 2), 2), (1, (4, 1), 1)], ids=["detour", "step1"])
+    def test_unobserved_forcer_raises(self, x, entry, v):
+        # C_4 0-1-2-3 with 4 and 5 adjacent to 1, 2 and each other: from {0},
+        # 4 and 5 stay unobserved; a record naming one as a forcer must not
+        # lead to a trail through it, such as (3, 0, 1, 4, 2) for vertex 2
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5)])
+        tr = propagate(g, {0})
+        assert tr.time_label == (0, 1, 2, 1, UNOBSERVED, UNOBSERVED)
+        bad = replace(tr, forcing_record={**tr.forcing_record, x: entry})
+        match = f"forcer {entry[0]} of {x} is unobserved"
+        with pytest.raises(InternalConsistencyError, match=match):
+            extract_monotone_trail(g, bad, v)
+
     def test_missing_record_raises(self):
         # vertex 3 is observed at step 2 but the record has no entry for it
         tr = propagate(gen_path(5), {1})
