@@ -11,32 +11,42 @@ V - C is a fort that N[S] misses.
 The search deepens k = 1, 2, ... and keeps a pool of the sets N[F] known
 so far, which stay valid for every k. A node (S, excluded, room), with
 room = k - |S| >= 1, is charged one unit of work and reads the sets that
-S misses off the pool, in pool order. If there are any, it branches on
-the first one with the fewest vertices outside excluded, b_1 < ... < b_m:
-child i adds b_i to S and b_1..b_(i-1) to excluded. With one vertex left
-to add, the children are instead the vertices in every missed N[F], since
-any other child would miss one of them. If S misses no pooled set,
-propagation runs once. A full result at |S| = k is a witness. A failed
-run adds N[V - final] to the pool and S branches on it; a run at |S| < k
-always fails, since a smaller PDS would have ended the search at a
-smaller k. S grows along a path, so a node misses its parent's missed
-sets that S still misses and then those pooled since, in that order: the
-branch set, and so the order of the hits, is fixed by S, excluded and
-the pool. A set pooled twice changes nothing: the first smallest set has
-the same bits whichever copy comes first, and a copy moves neither the
-intersection above nor the packing floor below.
+S misses off the pool, in pool order. It branches on the first one with
+the fewest vertices outside excluded, b_1 < ... < b_m: child i adds b_i
+to S and b_1..b_(i-1) to excluded. With one vertex left to add, the
+children are instead the vertices in every missed N[F], since any other
+child would miss one of them. Only these leaves, one unit each, are
+propagated: a leaf that misses no pooled set runs once, a full result is
+a witness, and a failed run adds N[V - final] to the pool. S grows along
+a path, so a node misses its parent's missed sets that S still misses
+and then those pooled since, in that order: the branch set, and so the
+order of the hits, is fixed by S, excluded and the pool. A set pooled
+twice changes nothing: the first smallest set has the same bits
+whichever copy comes first, and a copy moves neither the intersection
+above nor the packing floor below.
 
-Every minimum PDS T is reached exactly once. At a node with S inside T
-and excluded disjoint from T, T meets the branch set, since T meets every
-N[F] and avoids excluded. Exactly one child keeps both conditions: the
-one that adds the first b_i in T, because earlier children add a vertex
-outside T and later ones exclude b_i. So T has one path from the root,
-which ends at depth k, where T misses no pooled set and propagation
-confirms it. The hits are thus distinct, and sorted they are the full
-lexicographic witness list. The search is exponential in the worst case;
-a cap on work (one unit per search node, plus one per combined witness on
-a disconnected graph) turns runaway inputs into SearchBudgetExceeded
-rather than an approximate answer.
+Every minimum PDS T is reached exactly once, and so is every T of k
+vertices that meets each set pooled by the end of level k. At a node with
+S inside T and excluded disjoint from T, T meets the branch set, since T
+meets every pooled set and avoids excluded. Exactly one child keeps both
+conditions: the one that adds the first b_i in T, because earlier
+children add a vertex outside T and later ones exclude b_i. So T has one
+path from the root, which ends at a leaf at depth k, where T misses no
+pooled set and propagation runs. The hits are thus distinct, and sorted
+they are the full lexicographic witness list. The search is exponential
+in the worst case; a cap on work (one unit per search node, plus one per
+combined witness on a disconnected graph) turns runaway inputs into
+SearchBudgetExceeded rather than an approximate answer.
+
+An inner node whose S misses no pooled set is not run again (the root's
+empty S misses every pooled set). The pool only grows, so S met every set
+pooled while k' = |S| was searched, and was run there as a leaf by the
+argument above. A hit would have ended the search at k'; a failed run
+pooled N[V - final], which S misses, as N[S] lies inside final. So that
+run reached V too slowly, which happens only when l < n, in (3) below; a
+level skipped by the packing floor holds no such S. The node branches on
+allowed - S as in (3), which stays exact even if this argument were
+wrong: only a fort's pruning would be lost.
 
 The search yields its hits at the least k; a caller that needs only the
 number takes the first: every k' < k was exhausted before it, so k is
@@ -99,18 +109,17 @@ exact dominating-set branching; a twin set N[{u, v}] contains N[u] there,
 so it would prune nothing and is left out. For l >= n every ball is V,
 and the pool holds allowed once. A failed run still pools N[V - final],
 and the twin sets hold, since T is a PDS. (3) A run that reaches V in
-more than l steps leaves no fort. T then has a vertex outside S, for S is
-not successful, so the node branches on the representatives outside S
-and excluded, which T meets; T is still reached exactly once. A run
-within l steps at |S| < k cannot happen: the search at k = |S| would
-have reached S. (4) ppt_graph, gamma_p with witnesses=False and the tree
-certificate keep every hit at the least k, with l >= n. For a minimum
-PDS T with ppt(T) = ppt(G) the moves of (1) are all swaps, since T - x
-would be a smaller PDS, and end at a hit in ppt(G) steps: the least step
-count among the hits is ppt(G). gamma_p with its witness list searches
-all of V instead, with the twin sets and V in its pool: the list must
-hold every minimum PDS, including those that use a dominated vertex such
-as a leaf.
+more than l steps leaves no fort; an inner node that misses no pooled
+set had such a run, as shown above. T then has a vertex outside S, for
+|S| < k, so the node branches on the representatives outside S and
+excluded, which T meets; T is still reached exactly once. (4) ppt_graph,
+gamma_p with witnesses=False and the tree certificate keep every hit at
+the least k, with l >= n. For a minimum PDS T with ppt(T) = ppt(G) the
+moves of (1) are all swaps, since T - x would be a smaller PDS, and end
+at a hit in ppt(G) steps: the least step count among the hits is
+ppt(G). gamma_p with its witness list searches all of V instead, with
+the twin sets and V in its pool: the list must hold every minimum PDS,
+including those that use a dominated vertex such as a leaf.
 """
 
 from __future__ import annotations
@@ -120,7 +129,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
 
-from .errors import InternalConsistencyError, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .graph import Graph, _bits
 
 DEFAULT_WORK_LIMIT = 10**8
@@ -192,12 +201,6 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
         balls = [allowed]
     pool = [nf & allowed for nf in (_twin_forts(g) if l > 1 else []) + balls]
 
-    def add_fort(final: int) -> int:
-        """Pool N[V - final], the neighbourhood of the fort a failed run leaves."""
-        nf = g.closed_neighbourhood(full ^ final) & allowed
-        pool.append(nf)
-        return nf
-
     # floor: how many pairwise disjoint sets a greedy pass took from the
     # pool, smallest first, when it held packed sets; no k below it succeeds
     floor = packed = 0
@@ -218,18 +221,8 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
         while stack:
             s, excluded, room = stack.pop()
             budget.spend()
-            missed = [nf for nf in pool if not nf & s]
-            if not missed:
-                final, steps = core.fixed_point(s)
-                if final != full:
-                    missed = [add_fort(final)]
-                elif steps <= l:
-                    raise InternalConsistencyError(
-                        f"a set of {k - room} vertices succeeds, below k = {k}"
-                    )
-                else:
-                    # too slow, and no fort: a hit adds an allowed vertex outside S
-                    missed = [allowed & ~s]
+            # an S that misses no pooled set was a too-slow leaf at k = |S|
+            missed = [nf for nf in pool if not nf & s] or [allowed & ~s]
             keep = ~excluded
             if room == 1:
                 # the last vertex must hit every missed set at once
@@ -249,7 +242,7 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
                     else:
                         final, steps = core.fixed_point(leaf)
                         if final != full:
-                            add_fort(final)
+                            pool.append(g.closed_neighbourhood(full ^ final) & allowed)
                         elif steps <= l:
                             found = True
                             yield tuple(_bits(leaf)), steps

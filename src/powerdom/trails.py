@@ -45,21 +45,17 @@ the reduced check fails exactly when a check of the whole trail would:
   last edge exactly when it comes straight back;
 - each step adds an edge, so the trail has at least t(v) + 1 edges.
 
-Other trails, and one after a kept trail whose last two edges are
-labelled j, go through _trail_labels, one pass that reports a missing or
-repeated edge anywhere, else the first monotonicity break, else the last
-label: over the whole trail after a step-1 start, else over a window of
-the kept trail's edges labelled at least the first new label (its last
-edge at least) and the new edges. The window fails exactly when the whole
-trail would: the prefix passed, and as its labels never decrease, an older
-edge that a new one repeats lies in the window (monotone new labels are
-all at least the first; others fail). Only the reason can differ, when the
-window meets a monotonicity break before a repeat outside it.
+Other trails go through _trail_labels, one pass over the whole trail
+that reports a missing or repeated edge anywhere, else the first
+monotonicity break, else the last label. No trace that propagate builds
+gives such a walk. A vertex forces at most one neighbour and a seed
+forces nothing after step 1, so a detour lands on a vertex x_{i-1} at
+step i - 1 >= 2, whose forcer is not the detour forcer and whose kept
+trail ends with two rising labels.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -232,22 +228,18 @@ def extract_monotone_trail(g: Graph, trace: ObservationTrace, v: int) -> Monoton
             raise InternalConsistencyError(f"step-1 source {w} of {x} has no other neighbor")
         s = (others & -others).bit_length() - 1  # the seed's smallest other neighbor
         vertices = (s, w, x, *walk)
-        head, m = (), 0
         sound = sound and t[w] == 0 and t[s] <= 1
-        new = (max(t[s], 0), 1, *labels)
+        edge_labels = (max(t[s], 0), 1, *labels)
     else:
         vertices = prefix.vertices + tuple(walk)
         head = prefix.edge_labels
         sound = sound and (back < 0 or prefix.vertices[-2] != back and head[-2] < head[-1])
-        new = tuple(labels)
-        if not sound:  # the window, at the kept trail's last edge at the latest
-            m = bisect_left(head, max(t[x], t[walk[0]]), 0, len(head) - 1)
+        edge_labels = head + tuple(labels)
     if not sound:
-        new, reason = _trail_labels(g, t, vertices[m:])
-        if reason is not None or m + len(new) < t[v] + 1:
+        edge_labels, reason = _trail_labels(g, t, vertices)
+        if reason is not None or len(edge_labels) < t[v] + 1:
             raise InternalConsistencyError(
                 f"extracted trail for vertex {v} is invalid: {reason or 'too short'}"
             )
-        head = head[:m]
-    trail = kept[v] = MonotoneTrail(vertices, head + new)
+    trail = kept[v] = MonotoneTrail(vertices, edge_labels)
     return trail

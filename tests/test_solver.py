@@ -576,7 +576,7 @@ SPARSE_POOL_OPS = {
 SPARSE_POOL_PINS = {
     "gamma_p": (27228, 15141),
     "l1": (5215, 840),
-    "l2": (6205, 2715),
+    "l2": (6205, 2598),
     "verify_tree": (7073, 4047),
 }
 
@@ -629,6 +629,24 @@ def test_ops_sharing_one_graph_keep_the_sparse_pool_pins(
                 assert SPARSE_POOL_OPS[name](g) == want[name], key
         got[name] = (units_spent[0], len(kernel_runs))
     assert got == SPARSE_POOL_PINS
+
+
+def test_no_set_is_propagated_twice_in_one_search(kernel_runs, units_spent):
+    # only leaves run: an inner node that misses no pooled set was a leaf of
+    # a smaller k, so a run there would repeat that leaf's start mask
+    cases = [(g, l) for g in l_round_corpus() for l in (2, 3)]
+    cases += [(gen_h_delta(delta)[0], 2) for delta in (5, 6)]
+    for g, l in cases:
+        g = Graph(g.n, g.edges())  # a fresh core, whose runs are counted
+        for comp in g.components():
+            part = g.subgraph(comp)
+            units_spent[0] = 0
+            kernel_runs.clear()
+            l_round_number(part, l)
+            assert len(set(kernel_runs)) == len(kernel_runs), (l, part.n, part.edges())
+    # H_6 at l = 2, the last case; a run at inner nodes as well would make
+    # 10,250 runs on these 6,886 sets
+    assert (units_spent[0], len(kernel_runs)) == (10346, 6886)
 
 
 class TestLRound:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from powerdom import trails
 from powerdom.catalog import nonisomorphic_graphs
 from powerdom.errors import InternalConsistencyError
 from powerdom.families import (
@@ -567,6 +568,27 @@ class TestMatchesRecursiveExtractor:
                 ), walk
 
 
+def test_propagate_traces_never_reach_the_whole_trail_pass(monkeypatch):
+    # every walk over a trace that propagate builds is sound, by the module
+    # docstring's argument, so no extraction checks a whole trail
+    def whole_trail_pass(*args):
+        raise AssertionError("extract_monotone_trail checked a whole trail")
+
+    monkeypatch.setattr(trails, "_trail_labels", whole_trail_pass)
+    for cases in (catalog_cases, hdelta_cases, spider_cases, tree_cases, sparse_cases):
+        rng = random.Random(f"{cases.__name__} sound")
+        for g, seeds in cases():
+            tr = propagate(g, seeds)
+            targets = [v for v in range(g.n) if tr.time_label[v] > 0]
+            for v in targets:
+                extract_monotone_trail(g, replace(tr), v)
+            # one shared trace per order, so later walks stop at kept trails
+            for order in (targets, targets[::-1], rng.sample(targets, len(targets))):
+                shared = replace(tr)
+                for v in order:
+                    extract_monotone_trail(g, shared, v)
+
+
 def _corrupted(tr, rng, count):
     """A copy of tr with count forcing records replaced by seeded random
     vertices. Half of them are neighbours of the forced vertex, so the walk
@@ -617,7 +639,7 @@ class TestKeptTrailsMatchColdExtraction:
     def test_window_reaches_past_the_last_kept_edge(self):
         # trail 3 is 0 1 2 3 4 5 3, every edge labelled 3; trail 6 extends
         # it by 4 6 and so repeats the edge {3,4}, which is not the kept
-        # trail's last edge; the window must still reach it
+        # trail's last edge; the unsound walk's whole-trail pass finds it
         g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (4, 6)])
         labels = (0, 3, 1, 3, 2, 3, 4)
         record = {1: (0, 1), 2: (1, 1), 3: (5, 3), 4: (3, 2), 5: (3, 3), 6: (4, 4)}
