@@ -144,8 +144,6 @@ def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsRepor
     delta = g.max_degree()
     diam = g.diameter()
     refuted = _refuted_bound(g.n, diam, delta)
-    # g is connected, so it is a tree iff it has n - 1 edges
-    is_tree = g.n >= 3 and g.edge_count == g.n - 1
     return BoundsReport(
         n=g.n,
         max_degree=delta,
@@ -155,6 +153,6 @@ def bounds_report(g: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> BoundsRepor
         correct_bound_raw=_correct_bound(g.n, result.ppt_graph, delta),
         refuted_bound_raw=refuted,
         ppt_lower_bound=_ppt_bound(g.n, result.gamma_p, delta),
-        tree_bound=_tree_bound(g.n, diam, delta) if is_tree else None,
+        tree_bound=_tree_bound(g.n, diam, delta) if g.n >= 3 and g.is_tree() else None,
         refutation_flag=refuted > result.gamma_p,
     )

@@ -30,7 +30,7 @@ from .errors import (
     PowerdomError,
     SearchBudgetExceeded,
 )
-from .graph import Graph, check_vertex_count, parse_graph, write_graph
+from .graph import Graph, _int, check_vertex_count, parse_graph, write_graph
 from .propagation import propagate
 from .solver import DEFAULT_WORK_LIMIT, gamma_p, l_round_number, ppt_graph
 from .trails import extract_monotone_trail
@@ -74,7 +74,7 @@ def _read_graph(path: str) -> Graph:
 
 def _parse_vertex_set(text: str) -> list:
     try:
-        return [int(part) for part in text.replace(",", " ").split()]
+        return [_int(part) for part in text.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"bad vertex list {text!r}; expected e.g. 0,3,7")
 
@@ -252,7 +252,7 @@ def _build_parser() -> _Parser:
         type=_work_limit,
         default=DEFAULT_WORK_LIMIT,
         metavar="N",
-        help="solver work cap in search nodes",
+        help="solver work cap in work units",
     )
 
     parser = _Parser(prog="powerdom", description=__doc__.splitlines()[0])

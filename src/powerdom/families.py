@@ -20,22 +20,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graph import Graph, check_edge_count, check_vertex_count
 
 
-@dataclass(frozen=True)
-class HDeltaSpec:
-    """Level structure of one H_Delta instance."""
-
-    delta: int
-    levels: tuple  # level (1, 2, or 3) per internal vertex
-
-
-def gen_h_delta(delta: int) -> tuple[Graph, HDeltaSpec]:
-    """Build H_Delta; internal vertex IDs are the 1-indexed numbering minus one."""
+def gen_h_delta(delta: int) -> tuple[Graph, tuple]:
+    """Build H_Delta with its levels: levels[v] is the level (1, 2 or 3) of
+    internal vertex v, the 1-indexed numbering minus one."""
     if delta < 3:
         raise ValueError(f"H_Delta requires delta >= 3, got {delta}")
     n = delta * delta + 1
@@ -50,13 +42,12 @@ def gen_h_delta(delta: int) -> tuple[Graph, HDeltaSpec]:
     # path along level 3
     edges.extend((k, k + 1) for k in range(delta + 1, n - 1))
     levels = (1,) + (2,) * delta + (3,) * (delta * (delta - 1))
-    return Graph(n, edges), HDeltaSpec(delta=delta, levels=levels)
+    return Graph(n, edges), levels
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    check_vertex_count(n)
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
@@ -71,7 +62,6 @@ def gen_star(k: int) -> Graph:
     """K_{1,k} with center 0."""
     if k < 1:
         raise ValueError(f"star needs k >= 1 leaves, got {k}")
-    check_vertex_count(k + 1)
     return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
@@ -87,15 +77,9 @@ def gen_spider(legs: int, leg_len: int) -> Graph:
     """Center 0 with `legs` paths of `leg_len` edges attached."""
     if legs < 1 or leg_len < 1:
         raise ValueError(f"spider needs legs >= 1 and leg_len >= 1, got {legs}, {leg_len}")
-    check_vertex_count(1 + legs * leg_len)
-    edges = []
-    for leg in range(legs):
-        prev = 0
-        for step in range(leg_len):
-            v = 1 + leg * leg_len + step
-            edges.append((prev, v))
-            prev = v
-    return Graph(1 + legs * leg_len, edges)
+    # vertex v follows v - 1 on its leg, or starts a leg at the centre
+    n = 1 + legs * leg_len
+    return Graph(n, ((v - 1 if (v - 1) % leg_len else 0, v) for v in range(1, n)))
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:

@@ -14,8 +14,8 @@ and so are the open-twin sets, as one tuple of masks. Balls and
 neighbour lists are rebuilt by each caller, never kept.
 
 File format: first non-comment line is "n m", followed by exactly m
-non-comment lines "u v" (0 <= u,v < n, u != v). Lines starting with '#'
-are comments, blank lines are ignored.
+non-comment lines "u v" (0 <= u,v < n, u != v), every number in ASCII
+digits. Lines starting with '#' are comments, blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -316,6 +316,13 @@ class Graph:
         return Graph(len(vertices), edges)
 
 
+def _int(token: str) -> int:
+    """int() of an optional sign then ASCII digits: no "1_0", no non-ASCII digit."""
+    if token.isascii() and token.lstrip("+-").isdigit():
+        return int(token)
+    raise ValueError(f"not an integer: {token!r}")
+
+
 def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -339,7 +346,7 @@ def parse_graph(text: str) -> Graph:
     if len(header) != 2:
         raise GraphParseError(f"header must be 'n m', got {header!r}", lineno)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _int(header[0]), _int(header[1])
     except ValueError:
         raise GraphParseError(f"non-integer token in header {header!r}", lineno) from None
     if n < 0 or m < 0:
@@ -359,7 +366,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(f"edge line must be 'u v', got {parts!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise GraphParseError(f"non-integer token in edge line {parts!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):

@@ -134,6 +134,12 @@ from .graph import Graph, _bits
 
 DEFAULT_WORK_LIMIT = 10**8
 
+# Below this many vertices the twin pass costs more than it saves: over
+# gamma_p, l = 2 and bounds on 80 seeded random trees and sparse graphs
+# per size, it added 2-11% at five to eight vertices and saved up to 2.6%
+# at nine and ten.
+_TWIN_MIN_N = 9
+
 
 @dataclass(frozen=True)
 class PdsSolution:
@@ -164,9 +170,9 @@ class GammaResult:
 
 
 class _Budget:
-    """Counts work against a cap: one unit per search node, and one per
-    witness combined across the components of a disconnected graph. k is
-    the cardinality the search has reached, for the error message."""
+    """Counts work units against a cap: one per search node, per leaf swap
+    the tree certificate tests, and per witness combined across components.
+    k is the cardinality the search has reached, for the error message."""
 
     __slots__ = ("limit", "used", "k")
 
@@ -181,7 +187,7 @@ class _Budget:
             raise SearchBudgetExceeded(
                 f"work limit of {self.limit} exceeded: {self.used} units used "
                 f"with the search at k = {self.k} "
-                "(one unit per search node or combined witness)"
+                "(work units: one per search node, leaf swap or combined witness)"
             )
 
 
@@ -199,7 +205,8 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
     else:
         # V is a fort with N[V] = V, and no run takes more than n steps
         balls = [allowed]
-    pool = [nf & allowed for nf in (_twin_forts(g) if l > 1 else []) + balls]
+    twins = g.open_twin_sets if l > 1 and g.n >= _TWIN_MIN_N else ()
+    pool = [nf & allowed for nf in (*twins, *balls)]
 
     # floor: how many pairwise disjoint sets a greedy pass took from the
     # pool, smallest first, when it held packed sets; no k below it succeeds
@@ -264,20 +271,6 @@ def _branch_search(g: Graph, budget: _Budget, allowed: int, l: int) -> Iterator[
         if found:
             return
     raise AssertionError("allowed always succeeds as a whole; unreachable")
-
-
-# Below this many vertices the twin pass costs more than it saves: over
-# gamma_p, l = 2 and bounds on 80 seeded random trees and sparse graphs
-# per size, it added 2-11% at five to eight vertices and saved up to 2.6%
-# at nine and ten.
-_TWIN_MIN_N = 9
-
-
-def _twin_forts(g: Graph) -> list[int]:
-    """N[{u, v}] = N(u) + u + v for the two least vertices u < v of every
-    class of open twins of g, as in the module docstring; none below
-    _TWIN_MIN_N vertices. The sets come from g, which finds them once."""
-    return list(g.open_twin_sets) if g.n >= _TWIN_MIN_N else []
 
 
 def _gamma_connected(g: Graph, budget: _Budget) -> GammaResult:
@@ -359,7 +352,7 @@ def l_round_number(g: Graph, l: int, work_limit: int = DEFAULT_WORK_LIMIT) -> in
     l = 1 is exactly the domination number; l >= n never binds, giving
     gamma_P.
     """
-    if not isinstance(l, int) or l < 1:
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l}")
     _, parts = _per_component(
         g, _Budget(work_limit), lambda h, b: next(_branch_search(h, b, h.representatives, l))[0]

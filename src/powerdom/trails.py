@@ -56,7 +56,6 @@ trail ends with two rising labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError
@@ -64,16 +63,11 @@ from .graph import Graph
 from .propagation import UNOBSERVED, ObservationTrace
 
 
-@dataclass(frozen=True)
-class MonotoneTrail:
+class MonotoneTrail(NamedTuple):
     """A vertex sequence (repeats allowed) with its per-edge time labels."""
 
     vertices: tuple
     edge_labels: tuple
-
-    @property
-    def edges(self) -> tuple:
-        return tuple(zip(self.vertices, self.vertices[1:]))
 
     @property
     def length(self) -> int:

@@ -96,6 +96,11 @@ class TestPropagate:
         code, _, err = run(capsys, "propagate", "--set", "1,x", p4_file)
         assert code == 1 and "bad vertex list" in err
 
+    def test_vertex_list_takes_only_ascii_digits(self, capsys, p4_file):
+        # int() alone would read "1_0" as 10
+        code, out, err = run(capsys, "propagate", "--set", "1_0", p4_file)
+        assert (code, out) == (1, "") and "bad vertex list '1_0'" in err
+
 
 class TestLround:
     def test_value(self, capsys, p4_file):
@@ -372,7 +377,7 @@ class TestExitCodes:
                     "options:\n"
                     "  -h, --help  show this help message and exit\n"
                     "  --json      emit JSON\n"
-                    "  --limit N   solver work cap in search nodes\n",
+                    "  --limit N   solver work cap in work units\n",
                     "",
                 ),
             ),

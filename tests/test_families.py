@@ -33,40 +33,40 @@ class TestHDelta:
 
     @pytest.mark.parametrize("delta", [3, 4, 7, 11])
     def test_shape(self, delta):
-        g, spec = gen_h_delta(delta)
+        g, levels = gen_h_delta(delta)
         assert g.is_connected()
         assert g.max_degree() == delta
         assert g.diameter() == 4
         assert g.degree(0) == delta
         # level sizes: 1, delta, delta*(delta-1)
-        assert spec.levels.count(1) == 1
-        assert spec.levels.count(2) == delta
-        assert spec.levels.count(3) == delta * (delta - 1)
+        assert levels.count(1) == 1
+        assert levels.count(2) == delta
+        assert levels.count(3) == delta * (delta - 1)
 
     def test_level_two_degrees(self):
-        g, spec = gen_h_delta(5)
+        g, levels = gen_h_delta(5)
         for v in range(1, 6):
-            assert spec.levels[v] == 2
+            assert levels[v] == 2
             assert g.degree(v) == 5  # one up-edge plus delta-1 children
 
     def test_level_three_is_one_path(self):
-        g, spec = gen_h_delta(4)
-        third = [v for v in range(g.n) if spec.levels[v] == 3]
+        g, levels = gen_h_delta(4)
+        third = [v for v in range(g.n) if levels[v] == 3]
         assert third == list(range(5, 17))
         ends = [v for v in third if len(g.neighbors(v) & set(third)) == 1]
         assert ends == [5, 16]
 
     def test_h3_level_three_in_one_based_numbering(self):
         # in the 1-indexed numbering the third level is vertices 5..10 when delta=3
-        g, spec = gen_h_delta(3)
-        third = [v + 1 for v in range(g.n) if spec.levels[v] == 3]
+        g, levels = gen_h_delta(3)
+        third = [v + 1 for v in range(g.n) if levels[v] == 3]
         assert third == [5, 6, 7, 8, 9, 10]
 
     @pytest.mark.parametrize("delta", range(3, 17))
     def test_construction_witness_power_dominates(self, delta):
         # the root and the first level-3 vertex, one end of the level-3 path
-        g, spec = gen_h_delta(delta)
-        assert spec.levels[delta + 1] == 3
+        g, levels = gen_h_delta(delta)
+        assert levels[delta + 1] == 3
         assert is_pds(g, {0, delta + 1})
 
     def test_rejects_small_delta(self):

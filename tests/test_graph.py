@@ -194,6 +194,10 @@ class TestParse:
             ("x y\n", "non-integer"),
             ("3\n", "header"),
             ("3 1\n0 zebra\n", "non-integer"),
+            # int() alone takes underscores and any Unicode decimal digit
+            ("1_0 0\n", "non-integer"),
+            ("3 1\n0 \u0662\n", "non-integer"),
+            ("\uff13 0\n", "non-integer"),
             ("3 1\n0 5\n", "out of range"),
             ("3 1\n1 1\n", "self-loop"),
             ("3 1\n", "only 0 edge lines"),

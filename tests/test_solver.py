@@ -31,7 +31,6 @@ from powerdom.solver import (
     _Budget,
     _branch_search,
     _gamma_ppt,
-    _twin_forts,
     gamma_p,
     l_round_number,
     ppt_graph,
@@ -445,15 +444,36 @@ class TestTwinForts:
     def test_one_set_per_class_of_open_twins(self):
         found = 0
         for g in self.corpus():
-            got = _twin_forts(g)
+            got = list(g.open_twin_sets)
             assert sorted(got) == self.expected(g), g.edges()
             assert len(got) <= g.n // 2
             found += len(got)
         assert found > 20
 
-    def test_none_below_the_size_gate(self, catalog_conn_8):
+    @staticmethod
+    def _forbid_twin_sets(monkeypatch):
+        def read(g):
+            raise AssertionError(f"the search read the twin sets of {g!r}")
+
+        monkeypatch.setattr(Graph, "open_twin_sets", property(read))
+
+    def test_none_below_the_size_gate(self, catalog_conn_8, monkeypatch):
         assert max(g.n for g in catalog_conn_8) < _TWIN_MIN_N
-        assert all(_twin_forts(g) == [] for g in catalog_conn_8)
+        self._forbid_twin_sets(monkeypatch)
+        for g in catalog_conn_8:
+            gamma_p(g)
+            l_round_number(g, 2)
+            ppt_graph(g)
+
+    def test_none_at_l1(self, monkeypatch):
+        # a twin set contains N[u], already pooled at l = 1
+        self._forbid_twin_sets(monkeypatch)
+        for g in (gen_star(8), gen_random_tree(12, 9012), gen_complete(9), gen_cycle(10)):
+            assert g.n >= _TWIN_MIN_N
+            l_round_number(g, 1)
+        # and the patch bites once both gates are open
+        with pytest.raises(AssertionError, match="read the twin sets"):
+            l_round_number(gen_star(8), 2)
 
     def test_every_power_dominating_set_meets_every_twin_set(self):
         # seeds whose graphs have two classes of twins, or one
@@ -461,7 +481,7 @@ class TestTwinForts:
         graphs += [gen_random_connected(9, 10, 9315), gen_random_connected(10, 11, 9310)]
         graphs += [gen_star(8), Graph(9, [(u, v) for u in range(3) for v in range(3, 9)])]
         for g in graphs:
-            twins = _twin_forts(g)
+            twins = list(g.open_twin_sets)
             assert twins, g.edges()
             for k in range(1, g.n + 1):
                 for s in combinations(range(g.n), k):
@@ -474,13 +494,13 @@ class TestTwinForts:
         # pooled where every pair of leaves would give about 4.5 million;
         # the centre is then forced, and the search answers in 4 units
         star = gen_star(3000)
-        assert _twin_forts(star) == [0b111]
+        assert list(star.open_twin_sets) == [0b111]
         assert gamma_p(star, work_limit=4).gamma_p == 1
         with pytest.raises(SearchBudgetExceeded):
             gamma_p(star, work_limit=3)
         # K_{3,2000}: one set per side, N(3) + 3 + 4 and N(0) + 0 + 1
         kab = Graph(2003, [(u, v) for u in range(3) for v in range(3, 2003)])
-        assert sorted(_twin_forts(kab)) == [0b11111, (1 << 2003) - 1 - 0b100]
+        assert sorted(kab.open_twin_sets) == [0b11111, (1 << 2003) - 1 - 0b100]
 
     def test_two_leaves_force_their_neighbour(self):
         # the leaves 7, 8 of 3 pool N[{7, 8}] = {3, 7, 8}, cut to {3} over
@@ -488,7 +508,7 @@ class TestTwinForts:
         # the whole search, where 6 units went without the twin set
         g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (3, 8)])
         assert g.representatives == 0b111110
-        assert _twin_forts(g) == [0b110001000]
+        assert list(g.open_twin_sets) == [0b110001000]
         assert _gamma_ppt(g, 2) == (1, 3)
         with pytest.raises(SearchBudgetExceeded):
             _gamma_ppt(g, 1)
@@ -686,6 +706,11 @@ class TestLRound:
     def test_non_integer_l_rejected(self):
         with pytest.raises(ValueError, match="l must be a positive integer"):
             l_round_number(gen_path(3), 1.5)
+
+    def test_bool_l_rejected(self):
+        # a bool is an int to isinstance; True would give the domination number
+        with pytest.raises(ValueError, match="l must be a positive integer"):
+            l_round_number(gen_path(7), True)
 
     def test_disconnected_sums(self):
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
