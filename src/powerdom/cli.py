@@ -7,8 +7,8 @@ accepts `--json` for machine-readable output (`gen` after the family
 name). All but `gen` and `demo`, which build their own graphs, read a
 graph file, or stdin when the path is `-`. The subcommands that search,
 `gamma`, `ppt`, `lround`, `bounds`, `verify-tree` and `demo`, take
-`--limit N` to cap the solver's work. Each handler returns its JSON
-payload and its text, and main prints one of them.
+`--limit N` to cap the solver's work. main reads the graph; each handler
+returns its JSON payload and its text, and main prints one of them.
 
 Exit codes: 0 success, 1 usage or parse error, 2 solver work limit
 exceeded, 3 internal consistency failure.
@@ -50,13 +50,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """Type of every integer option: graph._int's rule, as for graph files."""
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _work_limit(text: str) -> int:
     """Type of --limit: a count of work units, so a negative one is a usage
     error rather than a limit exceeded before the search starts."""
     try:
-        if (limit := int(text)) >= 0:
+        if (limit := _integer(text)) >= 0:
             return limit
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(f"work limit must be a non-negative integer, got {text!r}")
 
@@ -118,8 +126,7 @@ def counterexample_demo(
 
 
 def _cmd_gamma(args) -> tuple:
-    g = _read_graph(args.graph)
-    result = gamma_p(g, work_limit=args.limit)
+    result = gamma_p(args.graph, work_limit=args.limit)
     lines = [f"gamma_p = {result.gamma_p}", f"ppt = {result.ppt_graph}", "witnesses:"]
     for w in result.witnesses:
         lines.append(f"  {{{', '.join(map(str, w.vertices))}}} ppt={w.ppt}")
@@ -127,14 +134,12 @@ def _cmd_gamma(args) -> tuple:
 
 
 def _cmd_ppt(args) -> tuple:
-    g = _read_graph(args.graph)
-    value = ppt_graph(g, work_limit=args.limit)
+    value = ppt_graph(args.graph, work_limit=args.limit)
     return {"ppt_graph": value}, f"ppt = {value}"
 
 
 def _cmd_propagate(args) -> tuple:
-    g = _read_graph(args.graph)
-    trace = propagate(g, _parse_vertex_set(args.set))
+    trace = propagate(args.graph, _parse_vertex_set(args.set))
     lines = []
     for i, layer in enumerate(trace.layers):
         lines.append(f"[{i}] {{{', '.join(map(str, sorted(layer)))}}}")
@@ -146,8 +151,7 @@ def _cmd_propagate(args) -> tuple:
 
 
 def _cmd_lround(args) -> tuple:
-    g = _read_graph(args.graph)
-    value = l_round_number(g, args.l, work_limit=args.limit)
+    value = l_round_number(args.graph, args.l, work_limit=args.limit)
     return (
         {"l": args.l, "l_round_number": value},
         f"l-round power domination number (l={args.l}) = {value}",
@@ -155,8 +159,7 @@ def _cmd_lround(args) -> tuple:
 
 
 def _cmd_bounds(args) -> tuple:
-    g = _read_graph(args.graph)
-    rep = bounds_report(g, work_limit=args.limit)
+    rep = bounds_report(args.graph, work_limit=args.limit)
     verdict = "REFUTES" if rep.refutation_flag else "consistent"
     lines = [
         f"n = {rep.n}, max_degree = {rep.max_degree}, diameter = {rep.diameter}",
@@ -196,9 +199,8 @@ def _cmd_gen(args) -> tuple:
 
 
 def _cmd_trail(args) -> tuple:
-    g = _read_graph(args.graph)
-    trace = propagate(g, _parse_vertex_set(args.set))
-    trail = extract_monotone_trail(g, trace, args.vertex)
+    trace = propagate(args.graph, _parse_vertex_set(args.set))
+    trail = extract_monotone_trail(args.graph, trace, args.vertex)
     payload = trail.to_json_dict()
     payload["vertex"] = args.vertex
     payload["time_label"] = trace.time_label[args.vertex]
@@ -211,8 +213,7 @@ def _cmd_trail(args) -> tuple:
 
 
 def _cmd_verify_tree(args) -> tuple:
-    g = _read_graph(args.graph)
-    cert = verify_tree_diameter_bound(g, work_limit=args.limit)
+    cert = verify_tree_diameter_bound(args.graph, work_limit=args.limit)
     human = (
         f"ppt = {cert.ppt_repaired}, diam = {cert.diam}: "
         f"ppt <= diam-1 holds\n"
@@ -254,30 +255,27 @@ def _build_parser() -> _Parser:
         metavar="N",
         help="solver work cap in work units",
     )
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help="graph file, or - for stdin")
 
     parser = _Parser(prog="powerdom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("gamma", parents=[solving], help="exact power domination number")
-    p.add_argument("graph", help="graph file, or - for stdin")
+    p = sub.add_parser("gamma", parents=[solving, graph], help="exact power domination number")
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("ppt", parents=[solving], help="power propagation time of the graph")
-    p.add_argument("graph")
+    p = sub.add_parser("ppt", parents=[solving, graph], help="power propagation time of the graph")
     p.set_defaults(func=_cmd_ppt)
 
-    p = sub.add_parser("propagate", parents=[plain], help="run observation from a seed set")
+    p = sub.add_parser("propagate", parents=[plain, graph], help="run observation from a seed set")
     p.add_argument("--set", required=True, metavar="IDS", help="comma separated vertex ids")
-    p.add_argument("graph")
     p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("lround", parents=[solving], help="l-round power domination number")
-    p.add_argument("--l", required=True, type=int)
-    p.add_argument("graph")
+    p = sub.add_parser("lround", parents=[solving, graph], help="l-round power domination number")
+    p.add_argument("--l", required=True, type=_integer)
     p.set_defaults(func=_cmd_lround)
 
-    p = sub.add_parser("bounds", parents=[solving], help="lower bound report")
-    p.add_argument("graph")
+    p = sub.add_parser("bounds", parents=[solving, graph], help="lower bound report")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("gen", help="generate a named graph family")
@@ -285,22 +283,22 @@ def _build_parser() -> _Parser:
     for family, (_, names) in _GEN_FAMILIES.items():
         f = fam.add_parser(family, parents=[plain])
         for name in names:
-            f.add_argument(f"--{name}", required=True, type=int)
+            f.add_argument(f"--{name}", required=True, type=_integer)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("trail", parents=[plain], help="extract a monotone trail")
+    p = sub.add_parser("trail", parents=[plain, graph], help="extract a monotone trail")
     p.add_argument("--set", required=True, metavar="IDS")
-    p.add_argument("--vertex", required=True, type=int)
-    p.add_argument("graph")
+    p.add_argument("--vertex", required=True, type=_integer)
     p.set_defaults(func=_cmd_trail)
 
-    p = sub.add_parser("verify-tree", parents=[solving], help="certify ppt <= diam-1 on a tree")
-    p.add_argument("graph")
+    p = sub.add_parser(
+        "verify-tree", parents=[solving, graph], help="certify ppt <= diam-1 on a tree"
+    )
     p.set_defaults(func=_cmd_verify_tree)
 
     p = sub.add_parser("demo", parents=[solving], help="counterexample family report")
-    p.add_argument("--from", dest="delta_min", required=True, type=int, metavar="D1")
-    p.add_argument("--to", dest="delta_max", required=True, type=int, metavar="D2")
+    p.add_argument("--from", dest="delta_min", required=True, type=_integer, metavar="D1")
+    p.add_argument("--to", dest="delta_max", required=True, type=_integer, metavar="D2")
     p.set_defaults(func=_cmd_demo)
 
     return parser
@@ -318,6 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
+        if "graph" in args:
+            args.graph = _read_graph(args.graph)
         payload, human = args.func(args)
         print(json.dumps(payload, indent=2) if args.json else human)
         return 0

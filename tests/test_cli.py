@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, stdin, piping."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom.cli import _build_parser, counterexample_demo, main
+from powerdom.cli import _build_parser, _work_limit, counterexample_demo, main
 from powerdom.families import gen_h_delta, gen_path
 from powerdom.graph import parse_graph, write_graph
 
@@ -449,6 +450,56 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+
+class TestIntegerOptions:
+    """Every integer option reads an optional sign then ASCII digits, the rule
+    of graph files and --set; int() would take "1_0", " 3" and non-ASCII digits."""
+
+    # each option's argv, split around its value; the graph comes from stdin
+    OPTIONS = {
+        "limit": (["gamma", "--limit"], ["-"]),
+        "l": (["lround", "--l"], ["-"]),
+        "vertex": (["trail", "--set", "1", "--vertex"], ["-"]),
+        "from": (["demo", "--to", "4", "--from"], []),
+        "to": (["demo", "--from", "3", "--to"], []),
+        "gen": (["gen", "path", "--n"], []),
+    }
+
+    @pytest.mark.parametrize("text", ["1_0", "٣", " 3"], ids=["underscore", "arabic", "space"])
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_refuses_what_a_graph_file_refuses(self, capsys, monkeypatch, option, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(gen_path(4))))
+        before, after = self.OPTIONS[option]
+        code, out, err = run(capsys, *before, text, *after)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: powerdom ") and repr(text) in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv,first_line",
+        [
+            (["lround", "--l", "+3", "-"], "l-round power domination number (l=3) = 1"),
+            (["gamma", "--limit", "+9", "-"], "gamma_p = 1"),
+            (["trail", "--set", "1", "--vertex", "+3", "-"], "trail: 0 1 2 3"),
+            (["gen", "rtree", "--n", "3", "--seed", "-4"], "# family: rtree n=3 seed=-4"),
+            (["demo", "--from", "+3", "--to", "3"], f"{'delta':>5}  {'n':>4}  {'diam':>4}  "),
+        ],
+        ids=["l", "limit", "vertex", "negative-seed", "from"],
+    )
+    def test_signs_still_pass(self, capsys, monkeypatch, argv, first_line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(gen_path(4))))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith(first_line)
+
+    def test_no_option_parses_with_int(self):
+        parsers, types = [_build_parser()], set()
+        while parsers:
+            for action in parsers.pop()._actions:
+                types.add(action.type)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        # the walk reached the leaf parsers, where --limit lives
+        assert int not in types and _work_limit in types
 
 
 def _graph_texts():
