@@ -4,7 +4,9 @@ A graph stores its adjacency once, as one integer bitmask row per vertex:
 bit w of row v is set iff vw is an edge. This module owns that format.
 The propagation engines, the solver, the catalog and the trail checker
 read the rows through adjacency_masks and pass vertex sets around as
-masks; _bits lists the vertices of a mask. Degrees are bit counts,
+masks; _bits lists the vertices of a mask, by one table lookup for a
+mask below 256 (every mask of a graph on at most 8 vertices) and bit by
+bit above, and refuses a negative mask. Degrees are bit counts,
 edges() reads the bits above each row's own vertex, and components and
 a tree's diameter grow a mask frontier, so no query keeps a per-vertex
 set. The rows are immutable after construction and every query here is
@@ -45,8 +47,22 @@ def check_edge_count(m: int) -> None:
         raise ValueError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
 
 
+# Row b lists the set bits of the byte value b, lowest first.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def _bits(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
+    """The set bits of mask, lowest first, as a new list.
+
+    A mask below 256 is one lookup in _BYTE_BITS; a wider one is decoded
+    bit by bit. A negative mask, whose set bits in two's complement never
+    end, raises ValueError.
+    """
+    if mask < 256:
+        # a negative index would read the table from its end
+        if mask < 0:
+            raise ValueError(f"a vertex mask must be non-negative, got {mask}")
+        return list(_BYTE_BITS[mask])
     out = []
     while mask:
         b = mask & -mask

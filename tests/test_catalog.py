@@ -21,7 +21,7 @@ from powerdom.catalog import (
     nonisomorphic_graphs,
 )
 from powerdom.families import gen_cycle, gen_path, gen_random_connected
-from powerdom.graph import Graph, _bits
+from powerdom.graph import Graph
 
 # known class counts; the enumerator must reproduce them exactly
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -36,9 +36,15 @@ def permuted(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _members(mask: int) -> list:
+    """The set bits of mask, lowest first, by the definition: the reference
+    code decodes masks without graph._bits, so a fault there cannot hide."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _graph_from_masks(n: int, masks: list) -> Graph:
     """The reference generator's graph builder: rows to edges to Graph."""
-    return Graph(n, [(u, v) for u in range(n) for v in _bits(masks[u]) if u < v])
+    return Graph(n, [(u, v) for u in range(n) for v in _members(masks[u]) if u < v])
 
 
 def _oracle_canonical_children(parent: Graph) -> list:
@@ -66,15 +72,15 @@ def _oracle_canonical_children(parent: Graph) -> list:
         if k:
             tied |= sub & at[k - 1]
         masks = pm + [sub]
-        for u in _bits(sub):
+        for u in _members(sub):
             masks[u] |= hi
         if tied:
             cdeg = [m.bit_count() for m in masks]
-            key = sorted(cdeg[u] for u in _bits(sub))
+            key = sorted(cdeg[u] for u in _members(sub))
             rivals = []
             outranked = False
-            for t in _bits(tied):
-                tkey = sorted(cdeg[u] for u in _bits(masks[t]))
+            for t in _members(tied):
+                tkey = sorted(cdeg[u] for u in _members(masks[t]))
                 if tkey > key:
                     outranked = True
                     break
@@ -113,7 +119,7 @@ def _automorphisms(g: Graph) -> set:
     found = set()
     for perm in itertools.permutations(range(g.n)):
         if all(
-            sum(1 << perm[w] for w in _bits(masks[u])) == masks[perm[u]]
+            sum(1 << perm[w] for w in _members(masks[u])) == masks[perm[u]]
             for u in range(g.n)
         ):
             found.add(perm)

@@ -18,7 +18,7 @@ from powerdom.families import (
     gen_spider,
     gen_star,
 )
-from powerdom.graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph, write_graph
+from powerdom.graph import MAX_EDGES, MAX_VERTICES, Graph, _bits, parse_graph, write_graph
 
 
 def graphs(max_n=8):
@@ -92,6 +92,47 @@ def edge_list_components(n, edges):
     for v in range(n):
         comps.setdefault(label[v], []).append(v)
     return list(comps.values())
+
+
+def bits_oracle(mask):
+    """The set bits of a non-negative mask, by the definition."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def wide_masks():
+    """Seeded sparse, dense, full and co-sparse masks of 9 to 4,000 bits,
+    and each again with bits 0..7 cleared, so the low byte is empty."""
+    rng = random.Random(32)
+    masks = []
+    for width in (9, 16, 17, 63, 64, 65, 200, 1000, 4000):
+        top = 1 << (width - 1)
+        sparse = top | sum(1 << rng.randrange(width) for _ in range(max(1, width // 50)))
+        dense = top | rng.getrandbits(width)
+        full = (1 << width) - 1
+        masks += [sparse, dense, full, full ^ sparse | top]
+    return masks + [m >> 8 << 8 for m in masks]
+
+
+class TestBits:
+    def test_every_mask_below_two_to_the_sixteen(self):
+        for mask in range(1 << 16):
+            assert _bits(mask) == bits_oracle(mask), mask
+
+    def test_wide_masks(self):
+        for mask in wide_masks():
+            assert _bits(mask) == bits_oracle(mask), mask.bit_length()
+
+    def test_each_call_returns_a_new_list(self):
+        for mask in (0, 5, 255, 1 << 70 | 5):
+            first = _bits(mask)
+            first.append(99)
+            assert _bits(mask) == bits_oracle(mask)
+            assert _bits(mask) is not _bits(mask)
+
+    @pytest.mark.parametrize("mask", [-1, -3, -128, -255, -256, -257, -(1 << 70)])
+    def test_rejects_negative_masks(self, mask):
+        with pytest.raises(ValueError, match=f"must be non-negative, got {mask}"):
+            _bits(mask)
 
 
 class TestConstruction:
